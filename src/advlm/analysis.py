@@ -17,75 +17,66 @@ from .advsoft import AdvConfig, advsoft_prob, epsilon_for_target
 from .errors import NumericError, ShapeError
 
 BOUND_SLACK = 1e-12
+# Elements in one row block x V temporary of nearest_neighbor_distances.
+NN_BLOCK_ELEMS = 2 ** 18
 
 
 def nearest_neighbor_distances(W: np.ndarray) -> np.ndarray:
-    """out[i] = min over j != i of ||w_i - w_j||, computed row by row."""
-    W = np.asarray(W, dtype=np.float64)
-    V = W.shape[0]
+    """out[i] = min over j != i of ||w_i - w_j||.
+
+    Each block of rows picks its candidates from the Gram form
+    ||w_i||^2 + ||w_j||^2 - 2 w_i.w_j (one BLAS product), keeping every j
+    within a rounding-error margin of the row minimum, then recomputes the
+    candidates as ((W[j] - W[i])**2).sum(), so the result equals a row-by-row
+    scan bit for bit, duplicate rows included.
+    """
+    W = np.ascontiguousarray(W, dtype=np.float64)
+    V, d = W.shape
     if V < 2:
         raise ShapeError(f"need at least 2 rows, got {V}")
+    sq = (W * W).sum(axis=1)
+    fp = np.finfo(np.float64)
+    # Bounds the Gram form's error plus the recheck's error, with room to spare.
+    tol = 4.0 * (d + 2) * fp.eps
     out = np.empty(V)
-    for i in range(V):
-        d2 = ((W - W[i]) ** 2).sum(axis=1)
-        d2[i] = np.inf
-        out[i] = math.sqrt(d2.min())
+    block = max(1, NN_BLOCK_ELEMS // V)
+    for lo in range(0, V, block):
+        hi = min(lo + block, V)
+        rows = np.arange(hi - lo)
+        gram = W[lo:hi] @ W.T
+        gram *= -2.0
+        gram += sq
+        gram += sq[lo:hi, None]
+        gram[rows, rows + lo] = np.inf
+        margin = sq[lo:hi, None] + sq
+        margin += fp.tiny  # covers underflow to subnormals
+        margin *= tol
+        upper = (gram + margin).min(axis=1)
+        gram -= margin
+        # Negated so that a NaN row keeps every j and rechecks to NaN, as the
+        # scan would; every row keeps at least one j != i.
+        keep = ~(gram > upper[:, None])
+        keep[rows, rows + lo] = False
+        single = keep.sum(axis=1) == 1
+        nearest = keep[single].argmax(axis=1)
+        diff = W[nearest] - W[lo:hi][single]
+        out[lo:hi][single] = np.sqrt((diff ** 2).sum(axis=1))
+        for r in np.flatnonzero(~single):
+            cand = np.flatnonzero(keep[r])
+            out[lo + r] = math.sqrt(((W[cand] - W[lo + r]) ** 2).sum(axis=1).min())
     return out
 
 
-def _offdiag_norm(A: np.ndarray) -> float:
-    return math.sqrt(2.0 * (np.triu(A, 1) ** 2).sum())
-
-
-def _jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-12,
-                        max_sweeps: int = 100) -> np.ndarray:
-    """Cyclic Jacobi rotations on a symmetric matrix until the off-diagonal
-    norm drops below tol."""
-    A = A.copy()
-    n = A.shape[0]
-    if n == 1:
-        return np.diag(A).copy()
-    for _ in range(max_sweeps):
-        if _offdiag_norm(A) < tol:
-            return np.diag(A).copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if theta >= 0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = 1.0 / (theta - math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                A[p, q] = A[q, p] = 0.0
-    if _offdiag_norm(A) >= tol:
-        raise NumericError("eigensolve did not converge")
-    return np.diag(A).copy()
-
-
-def singular_values(W: np.ndarray, normalize: bool = True) -> np.ndarray:
-    """Singular values of W via the eigenvalues of the smaller Gram matrix,
-    sorted descending; normalized so the largest is 1 unless normalize=False."""
+def singular_values(W: np.ndarray) -> np.ndarray:
+    """Singular values of W (LAPACK SVD), sorted descending and normalized so
+    the largest is 1."""
     W = np.asarray(W, dtype=np.float64)
+    if not np.isfinite(W).all():
+        raise NumericError("non-finite matrix has no defined spectrum")
     if not W.any():
         raise NumericError("all-zero matrix has no defined spectrum shape")
-    V, d = W.shape
-    gram = W.T @ W if V >= d else W @ W.T
-    eig = _jacobi_eigenvalues(gram)
-    sv = np.sqrt(np.clip(eig, 0.0, None))
-    sv = np.sort(sv)[::-1]
-    if normalize:
-        sv = sv / sv[0]
-    return sv
+    sv = np.linalg.svd(W, compute_uv=False)
+    return sv / sv[0]
 
 
 def sv_entropy(sv: np.ndarray) -> float:

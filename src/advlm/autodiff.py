@@ -17,7 +17,7 @@ import threading
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 
 _state = threading.local()
 
@@ -198,19 +198,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def exp(t: Tensor) -> Tensor:
-    y = np.exp(t.values)
-    return _record(y, (t,), lambda g: (g * y,))
-
-
-def log(t: Tensor) -> Tensor:
-    if np.any(t.values <= 0.0):
-        bad = float(t.values.min())
-        raise DomainError(f"log: non-positive operand (min value {bad})")
-    tv = t.values
-    return _record(np.log(tv), (t,), lambda g: (g / tv,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[0]:
         raise ShapeError(
@@ -236,18 +223,6 @@ def sum_all(t: Tensor) -> Tensor:
     )
 
 
-def log_sum_exp(t: Tensor) -> Tensor:
-    """Stable log(sum(exp(v))) of a vector; gradient is softmax(v)."""
-    if t.values.ndim != 1 or t.values.shape[0] < 1:
-        raise ShapeError(f"log_sum_exp: expected a non-empty vector, got shape {t.values.shape}")
-    v = t.values
-    m = v.max()
-    e = np.exp(v - m)
-    s = e.sum()
-    soft = e / s
-    return _record(np.asarray(m + np.log(s)), (t,), lambda g: (g * soft,))
-
-
 def logsumexp_rows(t: Tensor) -> Tensor:
     """Row-wise stable log-sum-exp of an N-by-K matrix, returning length N."""
     if t.values.ndim != 2 or t.values.shape[1] < 1:
@@ -259,21 +234,6 @@ def logsumexp_rows(t: Tensor) -> Tensor:
     soft = e / s
     out = (m + np.log(s)).reshape(-1)
     return _record(out, (t,), lambda g: (g[:, None] * soft,))
-
-
-def l2_norm(t: Tensor) -> Tensor:
-    """Euclidean norm of a vector; gradient v/||v||, defined as 0 at the origin."""
-    if t.values.ndim != 1 or t.values.shape[0] < 1:
-        raise ShapeError(f"l2_norm: expected a non-empty vector, got shape {t.values.shape}")
-    v = t.values
-    n = float(np.sqrt((v * v).sum()))
-
-    def _back(g):
-        if n == 0.0:
-            return (np.zeros_like(v),)
-        return (g * v / n,)
-
-    return _record(np.asarray(n), (t,), _back)
 
 
 def gather_rows(m: Tensor, ids) -> Tensor:

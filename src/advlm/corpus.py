@@ -27,9 +27,12 @@ def read_tokens(path: str) -> list[str]:
     except OSError as e:
         raise CorpusError(f"cannot read corpus {path}: {e}")
     with fh:
-        for line in fh:
-            tokens.extend(line.split())
-            tokens.append(EOS)
+        try:
+            for line in fh:
+                tokens.extend(line.split())
+                tokens.append(EOS)
+        except UnicodeDecodeError as e:
+            raise CorpusError(f"corpus {path} is not UTF-8: {e}")
     return tokens
 
 
@@ -65,14 +68,18 @@ class Vocab:
     def load(cls, path: str) -> "Vocab":
         id_to_token: list[str] = []
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
-                try:
-                    tok, idx = line.rstrip("\n").split("\t")
-                except ValueError:
-                    raise CorpusError(f"{path}:{lineno + 1}: expected 'token<TAB>id'")
-                if int(idx) != lineno:
-                    raise CorpusError(f"{path}:{lineno + 1}: ids must be dense and ordered")
-                id_to_token.append(tok)
+            try:
+                for lineno, line in enumerate(fh):
+                    try:
+                        tok, idx = line.rstrip("\n").split("\t")
+                        idx = int(idx)
+                    except ValueError:
+                        raise CorpusError(f"{path}:{lineno + 1}: expected 'token<TAB>id'")
+                    if idx != lineno:
+                        raise CorpusError(f"{path}:{lineno + 1}: ids must be dense and ordered")
+                    id_to_token.append(tok)
+            except UnicodeDecodeError as e:
+                raise CorpusError(f"vocab {path} is not UTF-8: {e}")
         if not id_to_token:
             raise CorpusError(f"{path}: empty vocab file")
         return cls(id_to_token)

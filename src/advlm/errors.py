@@ -9,10 +9,6 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-class DomainError(ValueError):
-    """An input lies outside the mathematical domain of the operation."""
-
-
 class ConfigError(ValueError):
     """A configuration value or config file is invalid."""
 

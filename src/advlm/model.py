@@ -8,6 +8,7 @@ predict the target at step t of batch column b.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -176,20 +177,26 @@ def _write_tensor(fh, arr: np.ndarray) -> None:
 
 
 def _read_exact(fh, n: int, section: str) -> bytes:
+    # A size taken from a corrupt header must not become an allocation.
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError(f"truncated checkpoint while reading {section}")
     buf = fh.read(n)
     if len(buf) != n:
         raise CheckpointError(f"truncated checkpoint while reading {section}")
     return buf
 
 
-def _read_tensor(fh, name: str) -> np.ndarray:
+def _read_tensor(fh, name: str, shape: tuple) -> np.ndarray:
+    """Read one tensor whose header must declare exactly `shape`; the data
+    read is sized from `shape`, never from the file's bytes."""
     (rank,) = struct.unpack("<q", _read_exact(fh, 8, name))
-    if not 0 < rank <= 4:
-        raise CheckpointError(f"bad tensor rank {rank} for {name}")
+    if rank != len(shape):
+        raise CheckpointError(f"tensor {name} has rank {rank}, expected {len(shape)}")
     dims = struct.unpack(f"<{rank}q", _read_exact(fh, 8 * rank, name))
-    count = int(np.prod(dims))
-    data = np.frombuffer(_read_exact(fh, 8 * count, name), dtype="<f8")
-    return data.reshape(dims).astype(np.float64)
+    if dims != shape:
+        raise CheckpointError(f"tensor {name} has shape {dims}, expected {shape}")
+    data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape), name), dtype="<f8")
+    return data.reshape(shape).astype(np.float64)
 
 
 def save_checkpoint(params: LMParams, path: str) -> None:
@@ -235,12 +242,7 @@ def load_checkpoint(path: str) -> LMParams:
         ]
         expected = _expected_shapes(cfg)
         for name, t in params.named_tensors():
-            arr = _read_tensor(fh, name)
-            if arr.shape != expected[name]:
-                raise CheckpointError(
-                    f"{path}: tensor {name} has shape {arr.shape}, expected {expected[name]}"
-                )
-            t.values = arr
+            t.values = _read_tensor(fh, name, expected[name])
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
     return params

@@ -96,8 +96,8 @@ def _fd_check(build, tensors, rng) -> float:
 
 
 def _op_cases(rng):
-    def t(*shape, lo=-2.0, hi=2.0):
-        return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True)
+    def t(*shape):
+        return Tensor(rng.uniform(-2.0, 2.0, size=shape), requires_grad=True)
 
     n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     a, b = t(n, m), t(n, m)
@@ -112,18 +112,12 @@ def _op_cases(rng):
     x = t(n, m)
     yield "tanh", lambda: ad.tanh(x), [x]
     yield "sigmoid", lambda: ad.sigmoid(x), [x]
-    yield "exp", lambda: ad.exp(x), [x]
-    pos = t(n, m, lo=0.1, hi=2.0)
-    yield "log", lambda: ad.log(pos), [pos]
     k = int(rng.integers(2, 5))
     ma, mb = t(n, k), t(k, m)
     yield "matmul", lambda: ad.matmul(ma, mb), [ma, mb]
     yield "transpose", lambda: ad.transpose(ma), [ma]
     yield "sum_all", lambda: ad.sum_all(x), [x]
-    v = t(int(rng.integers(2, 7)))
-    yield "log_sum_exp", lambda: ad.log_sum_exp(v), [v]
     yield "logsumexp_rows", lambda: ad.logsumexp_rows(x), [x]
-    yield "l2_norm", lambda: ad.l2_norm(v), [v]
     emb = t(int(rng.integers(3, 6)), m)
     ids = rng.integers(0, emb.shape[0], size=n)
     yield "gather_rows", lambda: ad.gather_rows(emb, ids), [emb]

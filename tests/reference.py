@@ -11,6 +11,12 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def logsumexp_rows(z):
+    """Row-wise log(sum(exp(z))) with the row max factored out."""
+    m = z.max(axis=1, keepdims=True)
+    return m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+
+
 def hand_lstm_step(w_x, w_h, bias, x, h, c):
     """Gate-equation evaluation, columns packed [i | f | g | o]."""
     H = h.shape[1]
@@ -47,9 +53,7 @@ def hand_nll(params, contexts, flat_targets, eps_vec=None):
     n = np.arange(len(flat_targets))
     if eps_vec is not None:
         z[n, flat_targets] -= eps_vec * np.linalg.norm(contexts, axis=1)
-    m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    return (lse - z[n, flat_targets]).sum()
+    return (logsumexp_rows(z) - z[n, flat_targets]).sum()
 
 
 def mle_loss_value(params, input_ids, targets):

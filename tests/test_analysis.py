@@ -8,6 +8,7 @@ import pytest
 
 from advlm.advsoft import AdvConfig, advsoft_prob
 from advlm.analysis import (
+    NN_BLOCK_ELEMS,
     check_energy_bound,
     check_separation_theorem,
     context_probes,
@@ -22,6 +23,16 @@ from advlm.analysis import (
 from advlm.corpus import batchify
 from advlm.errors import NumericError, ShapeError
 from advlm.model import LMConfig, init_params
+
+
+def _row_scan(W):
+    """Row-by-row nearest-neighbor distances, the direct definition."""
+    out = np.empty(W.shape[0])
+    for i in range(W.shape[0]):
+        d2 = ((W - W[i]) ** 2).sum(axis=1)
+        d2[i] = np.inf
+        out[i] = math.sqrt(d2.min())
+    return out
 
 
 class TestNearestNeighbor:
@@ -46,6 +57,19 @@ class TestNearestNeighbor:
                     best = min(best, math.sqrt(((W[i] - W[j]) ** 2).sum()))
             expect[i] = best
         np.testing.assert_allclose(got, expect, atol=1e-12)
+        np.testing.assert_array_equal(got, _row_scan(W))
+
+        # More rows than one block; near and exact duplicates; an offset
+        # large enough that the Gram form cancels most of its digits; squares
+        # that underflow to subnormals; a lattice full of exact ties.
+        V = 600
+        assert V > NN_BLOCK_ELEMS // V
+        W = rng.normal(size=(V, 33))
+        W[1::7] = W[0::7][:len(W[1::7])] + 1e-9 * rng.normal(size=(len(W[1::7]), 33))
+        W[2::11] = W[3::11][:len(W[2::11])]
+        lattice = rng.integers(-2, 3, size=(V, 5)) * 0.1
+        for M in (W, W + 1e3, W * 1e-157, lattice):
+            np.testing.assert_array_equal(nearest_neighbor_distances(M), _row_scan(M))
 
     def test_single_row_rejected(self):
         with pytest.raises(ShapeError):
@@ -65,17 +89,18 @@ class TestSingularValues:
         rng = np.random.default_rng(1)
         for _ in range(20):
             W = rng.normal(size=(20, 6))
-            sv = singular_values(W, normalize=False)
-            assert (sv ** 2).sum() == pytest.approx((W ** 2).sum(), abs=1e-9)
+            sv = singular_values(W)
+            expect = (W ** 2).sum() / np.linalg.norm(W, 2) ** 2
+            assert (sv ** 2).sum() == pytest.approx(expect, rel=1e-12)
 
     def test_matches_library_svd(self):
         rng = np.random.default_rng(2)
         for shape in ((12, 5), (4, 7), (6, 6)):
             W = rng.normal(size=shape)
-            got = singular_values(W, normalize=False)
+            got = singular_values(W)
             expect = np.linalg.svd(W, compute_uv=False)
             assert len(got) == min(shape)
-            np.testing.assert_allclose(got, expect, atol=1e-10)
+            np.testing.assert_allclose(got, expect / expect[0], atol=1e-12)
 
     def test_sorted_descending_first_is_one(self):
         W = np.random.default_rng(3).normal(size=(10, 4))
@@ -86,11 +111,14 @@ class TestSingularValues:
     def test_zero_matrix_rejected(self):
         with pytest.raises(NumericError):
             singular_values(np.zeros((4, 3)))
+        with pytest.raises(NumericError):
+            singular_values(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_rank_deficient(self):
         W = np.outer(np.arange(1.0, 5.0), np.array([1.0, 2.0, 2.0]))
-        sv = singular_values(W, normalize=False)
-        np.testing.assert_allclose(sv[1:], 0.0, atol=1e-10)
+        sv = singular_values(W)
+        assert sv[0] == 1.0
+        np.testing.assert_allclose(sv[1:], 0.0, atol=1e-12)
 
 
 class TestSvEntropy:

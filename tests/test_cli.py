@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import jsonschema
 import numpy as np
@@ -180,10 +181,16 @@ class TestTrainCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    def test_missing_corpus_file(self, tmp_path):
+    def test_missing_corpus_file(self, tmp_path, capsys):
         rc = main(["train", "--corpus", str(tmp_path / "nope.txt"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("caf\u00e9 au lait\n".encode("latin-1") * 40)
+        rc = main(["train", "--corpus", str(latin1), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and "Traceback" not in err
 
     def test_bad_adv_spec(self, tmp_path):
         corpus = tmp_path / "c.txt"
@@ -262,23 +269,39 @@ class TestEvalCommand:
 
     def test_corrupt_checkpoint_exit_4(self, trained_run, tmp_path, capsys):
         data = (trained_run["out"] / "model.bin").read_bytes()
+        cfg = load_checkpoint(str(trained_run["out"] / "model.bin")).config
+        # magic + 4 config int64s + init_range, then the embedding's header
+        head = 8 + 32 + 8
+        huge_dims = (data[:head] + struct.pack("<3q", 2, 2 ** 60, cfg.embed_dim)
+                     + data[head + 24:])
+        huge_vocab = (data[:8] + struct.pack("<q", 2 ** 40) + data[16:head]
+                      + struct.pack("<3q", 2, 2 ** 40, cfg.embed_dim)
+                      + data[head + 24:])
         bad = tmp_path / "model.bin"
-        bad.write_bytes(data[: len(data) // 2])
-        rc = main(["eval", "--checkpoint", str(bad), "--vocab",
-                   str(trained_run["out"] / "vocab.tsv"), "--corpus",
-                   str(trained_run["corpus"])])
-        assert rc == 4
-        assert "error:" in capsys.readouterr().err
+        for blob in (data[: len(data) // 2], huge_dims, huge_vocab):
+            bad.write_bytes(blob)
+            rc = main(["eval", "--checkpoint", str(bad), "--vocab",
+                       str(trained_run["out"] / "vocab.tsv"), "--corpus",
+                       str(trained_run["corpus"])])
+            assert rc == 4
+            err = capsys.readouterr().err
+            assert "error:" in err and "Traceback" not in err
 
     def test_vocab_size_mismatch_exit_2(self, trained_run, tmp_path, capsys):
         small = Vocab(["<unk>", "<eos>", "alpha"])
         small.save(str(tmp_path / "vocab.tsv"))
-        rc = main(["eval", "--checkpoint",
-                   str(trained_run["out"] / "model.bin"), "--vocab",
-                   str(tmp_path / "vocab.tsv"), "--corpus",
-                   str(trained_run["corpus"])])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        blobs = [(tmp_path / "vocab.tsv").read_bytes(),
+                 b"<unk>\t0\n<eos>\t1\nfoo\tx\n",
+                 b"<unk>\t0\n<eos>\t1\n\xff\t2\n"]
+        for blob in blobs:
+            (tmp_path / "vocab.tsv").write_bytes(blob)
+            rc = main(["eval", "--checkpoint",
+                       str(trained_run["out"] / "model.bin"), "--vocab",
+                       str(tmp_path / "vocab.tsv"), "--corpus",
+                       str(trained_run["corpus"])])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and "Traceback" not in err
 
     def test_eval_requires_corpus(self, trained_run, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -74,9 +74,11 @@ class TestVocab:
 
     def test_load_rejects_malformed(self, tmp_path):
         p = tmp_path / "bad.tsv"
-        p.write_text("<unk>\t0\n<eos> 1\n", encoding="utf-8")
-        with pytest.raises(CorpusError):
-            Vocab.load(str(p))
+        for blob in (b"<unk>\t0\n<eos> 1\n", b"<unk>\t0\n<eos>\t1\nfoo\tx\n",
+                     b"<unk>\t0\n<eos>\t1\n\xff\xfe\t2\n"):
+            p.write_bytes(blob)
+            with pytest.raises(CorpusError):
+                Vocab.load(str(p))
 
     def test_load_rejects_gapped_ids(self, tmp_path):
         p = tmp_path / "bad.tsv"
