@@ -180,25 +180,15 @@ def adv_nll_loss(params: LMParams, contexts: Tensor, targets: np.ndarray,
     if flat.size and (flat.min() < 0 or flat.max() >= V):
         raise IndexError(f"target id out of range for vocab size {V}")
 
-    logits = ad.matmul(contexts, ad.transpose(params.embedding))
-
     if config.mode == "off":
         eps = np.zeros(flat.size)
     elif config.mode == "fixed":
         eps = np.full(flat.size, config.value)
     else:
         eps = config.value * np.linalg.norm(params.embedding.values[flat], axis=1)
-
-    if eps.any():
-        # constant offsets: no gradient through ||h|| or ||w_target||
-        h_norms = np.linalg.norm(contexts.values, axis=1)
-        offsets = np.zeros((flat.size, V))
-        offsets[np.arange(flat.size), flat] = -eps * h_norms
-        adjusted = ad.add(logits, Tensor(offsets))
-    else:
-        adjusted = logits
-
-    nll = ad.sub(ad.logsumexp_rows(adjusted), ad.take_per_row(adjusted, flat))
+    # constant offsets: no gradient through ||h|| or ||w_target||
+    shift = eps * np.linalg.norm(contexts.values, axis=1) if eps.any() else eps
+    nll = ad.nll_rows(contexts, params.embedding, flat, shift)
     finite = np.isfinite(nll.values)
     if not finite.all():
         n = int(np.argmin(finite))

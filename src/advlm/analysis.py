@@ -107,12 +107,13 @@ def _recognized_per_probe(W: np.ndarray, H: np.ndarray, eps_per_word: np.ndarray
     """For each probe row of H, the recognized word id or -1. Only the strict
     argmax can dominate, so one candidate per probe suffices."""
     z = H @ W.T
-    order = np.argsort(z, axis=1)
-    best = order[:, -1]
-    second = order[:, -2]
     n = np.arange(H.shape[0])
+    best = z.argmax(axis=1)
+    top = z[n, best]
+    z[n, best] = -np.inf  # z is ours: the row max is now the runner-up
+    second = z.max(axis=1)
     hnorm = np.linalg.norm(H, axis=1)
-    ok = z[n, best] - eps_per_word[best] * hnorm > z[n, second]
+    ok = top - eps_per_word[best] * hnorm > second
     return np.where(ok, best, -1)
 
 

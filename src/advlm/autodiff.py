@@ -2,13 +2,15 @@
 
 Tensors wrap float64 numpy arrays. Operations execute eagerly; when a Tape is
 active (``with Tape():``) and any operand requires gradients, the op is
-recorded so that ``backward(loss)`` can replay the records in reverse and
-accumulate ``.grad`` on every requires_grad ancestor. Without an active tape
+recorded so that ``Tape.backward(loss)`` can replay the records in reverse
+and accumulate ``.grad`` on every requires_grad leaf. Without an active tape
 the same functions just compute values, which is how evaluation runs without
 gradient bookkeeping.
 
-The op set is exactly what the LSTM language model and its loss need: no
-general broadcasting, no higher-order derivatives, CPU float64 only.
+The op set is exactly what the LSTM language model and its loss need: an
+embedding lookup, one op per LSTM layer per window, one op for the
+softmax head, and a few elementwise helpers. No general broadcasting, no
+higher-order derivatives, CPU float64 only.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ class Tape:
         return False
 
     def backward(self, loss: "Tensor") -> None:
-        """Accumulate d(loss)/d(ancestor) into .grad of every recorded ancestor.
+        """Accumulate d(loss)/d(leaf) into .grad of every recorded leaf, i.e.
+        every requires_grad input that no record on this tape produced.
 
         Each call runs one full reverse pass and adds its result into .grad,
         so repeated calls without clearing grads accumulate.
@@ -87,12 +90,13 @@ class Tape:
             )
         if loss.tape is not self:
             raise RuntimeError("loss was not recorded on this tape")
+        outs = {id(out) for out, _, _ in self.records}
         # Per-call adjoints, so a second backward() does not re-propagate the
         # first call's intermediate gradients.
         adjoint = {id(loss): np.ones((), dtype=np.float64)}
-        tensors = {id(loss): loss}
+        leaves = {}
         for out, inputs, backward_fn in reversed(self.records):
-            g_out = adjoint.get(id(out))
+            g_out = adjoint.pop(id(out), None)
             if g_out is None:
                 continue
             for t, g in zip(inputs, backward_fn(g_out)):
@@ -103,8 +107,9 @@ class Tape:
                     adjoint[key] = adjoint[key] + g
                 else:
                     adjoint[key] = g
-                    tensors[key] = t
-        for key, t in tensors.items():
+                    if key not in outs:
+                        leaves[key] = t
+        for key, t in leaves.items():
             if t.grad is None:
                 t.grad = np.zeros_like(t.values)
             t.grad += adjoint[key]
@@ -119,13 +124,6 @@ def _record(values: np.ndarray, inputs, backward_fn) -> Tensor:
         out.tape = tape
         tape.records.append((out, tuple(inputs), backward_fn))
     return out
-
-
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation from a scalar loss on its tape."""
-    if loss.tape is None:
-        raise RuntimeError("loss is not attached to a tape (was it recorded?)")
-    loss.tape.backward(loss)
 
 
 def detach(t: Tensor) -> Tensor:
@@ -147,70 +145,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.values + b.values, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("sub", a, b)
-    return _record(a.values - b.values, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("mul", a, b)
     av, bv = a.values, b.values
     return _record(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
-def add_const(t: Tensor, c: float) -> Tensor:
-    """Elementwise t + c for a python scalar constant."""
-    return _record(t.values + c, (t,), lambda g: (g,))
-
-
 def scale(t: Tensor, c: float) -> Tensor:
     """Elementwise c * t for a python scalar constant."""
     return _record(t.values * c, (t,), lambda g: (g * c,))
-
-
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a length-K row vector to every row of an N-by-K matrix."""
-    if m.values.ndim != 2 or v.values.ndim != 1 or m.values.shape[1] != v.values.shape[0]:
-        raise ShapeError(
-            f"add_rowvec: expected (N,K) + (K,), got {m.values.shape} + {v.values.shape}"
-        )
-    return _record(m.values + v.values, (m, v), lambda g: (g, g.sum(axis=0)))
-
-
-def tanh(t: Tensor) -> Tensor:
-    y = np.tanh(t.values)
-    return _record(y, (t,), lambda g: (g * (1.0 - y * y),))
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    y = _sigmoid(t.values)
-    return _record(y, (t,), lambda g: (g * y * (1.0 - y),))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Piecewise form never exponentiates a positive argument.
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions disagree for shapes {a.values.shape} and {b.values.shape}"
-        )
-    av, bv = a.values, b.values
-    return _record(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
-
-
-def transpose(m: Tensor) -> Tensor:
-    if m.values.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {m.values.shape}")
-    return _record(m.values.T.copy(), (m,), lambda g: (g.T,))
 
 
 def sum_all(t: Tensor) -> Tensor:
@@ -221,19 +164,6 @@ def sum_all(t: Tensor) -> Tensor:
         (t,),
         lambda g: (np.broadcast_to(g, shape).astype(np.float64),),
     )
-
-
-def logsumexp_rows(t: Tensor) -> Tensor:
-    """Row-wise stable log-sum-exp of an N-by-K matrix, returning length N."""
-    if t.values.ndim != 2 or t.values.shape[1] < 1:
-        raise ShapeError(f"logsumexp_rows: expected (N,K) with K >= 1, got {t.values.shape}")
-    v = t.values
-    m = v.max(axis=1, keepdims=True)
-    e = np.exp(v - m)
-    s = e.sum(axis=1, keepdims=True)
-    soft = e / s
-    out = (m + np.log(s)).reshape(-1)
-    return _record(out, (t,), lambda g: (g[:, None] * soft,))
 
 
 def gather_rows(m: Tensor, ids) -> Tensor:
@@ -259,58 +189,126 @@ def gather_rows(m: Tensor, ids) -> Tensor:
     return _record(m.values[ids], (m,), _back)
 
 
-def take_per_row(m: Tensor, cols) -> Tensor:
-    """out[r] = m[r, cols[r]]; backward scatter-adds into the picked cells."""
-    if m.values.ndim != 2:
-        raise ShapeError(f"take_per_row: expected a matrix, got shape {m.values.shape}")
-    n, k = m.values.shape
-    cols = np.asarray(cols, dtype=np.int64)
-    if cols.shape != (n,):
-        raise ShapeError(f"take_per_row: need {n} column ids, got shape {cols.shape}")
-    if cols.size and (cols.min() < 0 or cols.max() >= k):
-        bad = int(cols[(cols < 0) | (cols >= k)][0])
-        raise IndexError(f"take_per_row: column id {bad} out of range [0, {k})")
+def lstm_layer(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor,
+               h0: Tensor, c0: Tensor):
+    """One LSTM layer over a whole time-major window, as a single op.
+
+    x is [(L*B) x I], row t*B + b being the input at step t of batch column
+    b; h0 and c0 are [B x H]; the gates are packed in columns as
+    [i | f | g | o] in w_x [I x 4H], w_h [H x 4H] and bias [4H]. The forget
+    gate's pre-activation gets a constant +1.0, so all-zero parameters stay
+    exactly all-zero. Returns (hs, h_last, c_last): hs [(L*B) x H] is
+    recorded (gradients reach x, the weights, h0 and c0 by backprop through
+    time); h_last and c_last are plain constants, because a window is the
+    unit of truncated BPTT.
+    """
+    xv, wh = x.values, w_h.values
+    B, H = h0.values.shape
+    if (xv.ndim != 2 or xv.shape[0] % B or c0.values.shape != (B, H)
+            or w_x.values.shape != (xv.shape[1], 4 * H)
+            or wh.shape != (H, 4 * H) or bias.values.shape != (4 * H,)):
+        raise ShapeError(
+            f"lstm_layer: x {xv.shape}, w_x {w_x.values.shape}, w_h {wh.shape}, "
+            f"bias {bias.values.shape}, h0 {h0.values.shape}, c0 {c0.values.shape} "
+            f"do not fit together"
+        )
+    n = xv.shape[0]
+    # sigmoid(z) = 0.5 + 0.5*tanh(z/2), so one tanh covers all four gates:
+    # the sigmoid gates' columns are halved on the way in and out, g's are
+    # not. Halving pre and w_h up front is exact.
+    half = np.full(4 * H, 0.5)
+    half[2 * H:3 * H] = 1.0
+    lift = 1.0 - half
+    pre = xv @ w_x.values + bias.values
+    pre[:, H:2 * H] += 1.0
+    pre *= half
+    wh_half = wh * half
+    acts = np.empty((n, 4 * H))
+    tcs = np.empty((n, H))  # tanh of every step's c
+    hs = np.empty((n + B, H))  # h0, then every step's h
+    cs = np.empty((n + B, H))  # c0, then every step's c
+    hs[:B], cs[:B] = h0.values, c0.values
+    for lo in range(0, n, B):
+        now, nxt = slice(lo, lo + B), slice(lo + B, lo + 2 * B)
+        a = acts[now]
+        np.matmul(hs[now], wh_half, out=a)
+        a += pre[now]
+        np.tanh(a, out=a)
+        a *= half
+        a += lift
+        np.multiply(a[:, H:2 * H], cs[now], out=cs[nxt])
+        cs[nxt] += a[:, :H] * a[:, 2 * H:3 * H]
+        np.tanh(cs[nxt], out=tcs[now])
+        np.multiply(a[:, 3 * H:], tcs[now], out=hs[nxt])
+
+    def _back(g):
+        # d act / d pre: s(1-s) for the sigmoid gates, 1-g^2 for g
+        slope = acts * (1.0 - acts)
+        gg = acts[:, 2 * H:3 * H]
+        slope[:, 2 * H:3 * H] = 1.0 - gg * gg
+        dh_dc = acts[:, 3 * H:] * (1.0 - tcs * tcs)  # d h_t / d c_t
+        dpre = np.empty((n, 4 * H))
+        dh = np.zeros((B, H))
+        dc = np.zeros((B, H))
+        wh_t = wh.T
+        for lo in range(n - B, -1, -B):
+            now = slice(lo, lo + B)
+            a, d = acts[now], dpre[now]
+            dh += g[now]
+            dc += dh * dh_dc[now]
+            np.multiply(dc, a[:, 2 * H:3 * H], out=d[:, :H])
+            np.multiply(dc, cs[now], out=d[:, H:2 * H])
+            np.multiply(dc, a[:, :H], out=d[:, 2 * H:3 * H])
+            np.multiply(dh, tcs[now], out=d[:, 3 * H:])
+            d *= slope[now]
+            dh = d @ wh_t
+            dc *= a[:, H:2 * H]
+        return (dpre @ w_x.values.T, xv.T @ dpre, hs[:n].T @ dpre,
+                dpre.sum(axis=0), dh, dc)
+
+    out = _record(hs[B:], (x, w_x, w_h, bias, h0, c0), _back)
+    return out, Tensor(hs[n:]), Tensor(cs[n:])
+
+
+def nll_rows(h: Tensor, w: Tensor, targets, shift) -> Tensor:
+    """Per-row softmax cross-entropy of the logits h @ w.T with the target
+    logit of row r lowered by the constant shift[r], as one op.
+
+    out[r] = logsumexp(z[r]) - z[r, targets[r]] where z = h @ w.T and
+    z[r, targets[r]] -= shift[r]. No gradient flows through shift. Backward:
+    with q = softmax(z) - onehot(targets), dh = q @ w and dw = q.T @ h.
+    """
+    hv, wv = h.values, w.values
+    if hv.ndim != 2 or wv.ndim != 2 or hv.shape[1] != wv.shape[1] or wv.shape[0] < 1:
+        raise ShapeError(
+            f"nll_rows: expected (N,d) contexts and (V,d) with V >= 1, got "
+            f"{hv.shape} and {wv.shape}"
+        )
+    n, V = hv.shape[0], wv.shape[0]
+    targets = np.asarray(targets, dtype=np.int64)
+    shift = np.asarray(shift, dtype=np.float64)
+    if targets.shape != (n,) or shift.shape != (n,):
+        raise ShapeError(
+            f"nll_rows: need {n} targets and shifts, got shapes {targets.shape} "
+            f"and {shift.shape}"
+        )
+    if n and (targets.min() < 0 or targets.max() >= V):
+        bad = int(targets[(targets < 0) | (targets >= V)][0])
+        raise IndexError(f"nll_rows: target id {bad} out of range [0, {V})")
     rows = np.arange(n)
+    z = hv @ wv.T
+    z[rows, targets] -= shift
+    picked = z[rows, targets]
+    m = z.max(axis=1, keepdims=True)
+    z -= m
+    e = np.exp(z, out=z)
+    s = e.sum(axis=1, keepdims=True)
+    out = (m + np.log(s)).reshape(-1) - picked
 
     def _back(g):
-        gm = np.zeros((n, k), dtype=np.float64)
-        np.add.at(gm, (rows, cols), g)
-        return (gm,)
+        q = e / s  # the softmax, formed only when a backward pass needs it
+        q *= g[:, None]
+        q[rows, targets] -= g
+        return (q @ wv, q.T @ hv)
 
-    return _record(m.values[rows, cols], (m,), _back)
-
-
-def slice_cols(m: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous column slice m[:, start:stop]; backward zero-pads."""
-    if m.values.ndim != 2:
-        raise ShapeError(f"slice_cols: expected a matrix, got shape {m.values.shape}")
-    n, k = m.values.shape
-    if not (0 <= start < stop <= k):
-        raise ShapeError(f"slice_cols: bad range [{start}, {stop}) for {k} columns")
-
-    def _back(g):
-        gm = np.zeros((n, k), dtype=np.float64)
-        gm[:, start:stop] = g
-        return (gm,)
-
-    return _record(m.values[:, start:stop].copy(), (m,), _back)
-
-
-def concat_rows(parts) -> Tensor:
-    """Stack matrices with equal column counts along rows; backward splits."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat_rows: need at least one part")
-    k = parts[0].values.shape[1] if parts[0].values.ndim == 2 else None
-    for p in parts:
-        if p.values.ndim != 2 or p.values.shape[1] != k:
-            raise ShapeError(
-                f"concat_rows: all parts must be (n_i, {k}), got {p.values.shape}"
-            )
-    sizes = [p.values.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def _back(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
-
-    return _record(np.concatenate([p.values for p in parts], axis=0), tuple(parts), _back)
+    return _record(out, (h, w), _back)

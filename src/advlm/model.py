@@ -118,27 +118,14 @@ def detach_state(state: HiddenState) -> HiddenState:
     return HiddenState([(ad.detach(h), ad.detach(c)) for h, c in state.layers])
 
 
-def _lstm_step(layer: LayerParams, x: Tensor, h: Tensor, c: Tensor):
-    # The +1.0 on the forget gate is part of the cell, not a parameter, so
-    # all-zero parameters stay exactly all-zero.
-    H = h.shape[1]
-    pre = ad.add_rowvec(ad.add(ad.matmul(x, layer.w_x), ad.matmul(h, layer.w_h)), layer.bias)
-    i = ad.sigmoid(ad.slice_cols(pre, 0, H))
-    f = ad.sigmoid(ad.add_const(ad.slice_cols(pre, H, 2 * H), 1.0))
-    g = ad.tanh(ad.slice_cols(pre, 2 * H, 3 * H))
-    o = ad.sigmoid(ad.slice_cols(pre, 3 * H, 4 * H))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
-
-
 def forward(params: LMParams, input_ids: np.ndarray, state: HiddenState,
             input_noise_std: float = 0.0, rng: np.random.Generator | None = None):
     """Run the stack over a [L x B] id window.
 
     Returns (contexts, new_state) where contexts is [(L*B) x embed_dim],
-    time-major. Noise is added to looked-up input embeddings only; the
-    output-side use of the embedding matrix never sees it.
+    time-major, and new_state carries no gradient. Noise is added to
+    looked-up input embeddings only; the output-side use of the embedding
+    matrix never sees it.
     """
     input_ids = np.asarray(input_ids)
     if input_ids.ndim != 2:
@@ -147,26 +134,21 @@ def forward(params: LMParams, input_ids: np.ndarray, state: HiddenState,
         raise ShapeError(
             f"state has {len(state.layers)} layers, model has {len(params.layers)}"
         )
-    L, B = input_ids.shape
+    B = input_ids.shape[1]
     if state.batch_size != B:
         raise ShapeError(f"state batch size {state.batch_size} != input batch size {B}")
     if input_noise_std > 0 and rng is None:
         raise ConfigError("input_noise_std > 0 requires an rng")
 
-    hs = [h for h, _ in state.layers]
-    cs = [c for _, c in state.layers]
-    steps = []
-    for t in range(L):
-        x = ad.gather_rows(params.embedding, input_ids[t])
-        if input_noise_std > 0:
-            noise = rng.normal(0.0, input_noise_std, size=x.shape)
-            x = ad.add(x, Tensor(noise))
-        for k, layer in enumerate(params.layers):
-            hs[k], cs[k] = _lstm_step(layer, x, hs[k], cs[k])
-            x = hs[k]
-        steps.append(x)
-    contexts = steps[0] if L == 1 else ad.concat_rows(steps)
-    return contexts, HiddenState(list(zip(hs, cs)))
+    x = ad.gather_rows(params.embedding, input_ids.reshape(-1))
+    if input_noise_std > 0:
+        # one draw in row order: the same stream as one [B x d] draw per step
+        x = ad.add(x, Tensor(rng.normal(0.0, input_noise_std, size=x.shape)))
+    layers = []
+    for layer, (h, c) in zip(params.layers, state.layers):
+        x, h, c = ad.lstm_layer(x, layer.w_x, layer.w_h, layer.bias, h, c)
+        layers.append((h, c))
+    return x, HiddenState(layers)
 
 
 def _write_tensor(fh, arr: np.ndarray) -> None:
@@ -233,6 +215,14 @@ def load_checkpoint(path: str) -> LMParams:
             cfg = LMConfig(v, d, h, n, init_range)
         except ConfigError as e:
             raise CheckpointError(f"{path}: invalid config: {e}")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if _checkpoint_bytes(cfg) > left:
+            # Name the first tensor that runs past the end; the walk stops
+            # within the file's bytes, however many layers the header claims.
+            for name, shape in _expected_shapes(cfg):
+                left -= _tensor_bytes(shape)
+                if left < 0:
+                    raise CheckpointError(f"truncated checkpoint while reading {name}")
         params = LMParams(cfg, Tensor(np.empty(0), requires_grad=True))
         params.layers = [
             LayerParams(Tensor(np.empty(0), requires_grad=True),
@@ -240,20 +230,36 @@ def load_checkpoint(path: str) -> LMParams:
                         Tensor(np.empty(0), requires_grad=True))
             for _ in range(cfg.num_layers)
         ]
-        expected = _expected_shapes(cfg)
-        for name, t in params.named_tensors():
-            t.values = _read_tensor(fh, name, expected[name])
+        for (name, t), (_, shape) in zip(params.named_tensors(), _expected_shapes(cfg)):
+            t.values = _read_tensor(fh, name, shape)
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
     return params
 
 
-def _expected_shapes(cfg: LMConfig) -> dict[str, tuple]:
-    shapes = {"embedding": (cfg.vocab_size, cfg.embed_dim)}
+def _expected_shapes(cfg: LMConfig):
+    """(name, shape) of every tensor in checkpoint order, generated lazily."""
+    yield "embedding", (cfg.vocab_size, cfg.embed_dim)
     in_dim = cfg.embed_dim
-    for k, h in enumerate(cfg.layer_sizes):
-        shapes[f"layer{k}.w_x"] = (in_dim, 4 * h)
-        shapes[f"layer{k}.w_h"] = (h, 4 * h)
-        shapes[f"layer{k}.bias"] = (4 * h,)
+    for k in range(cfg.num_layers):
+        h = cfg.embed_dim if k == cfg.num_layers - 1 else cfg.hidden_dim
+        yield f"layer{k}.w_x", (in_dim, 4 * h)
+        yield f"layer{k}.w_h", (h, 4 * h)
+        yield f"layer{k}.bias", (4 * h,)
         in_dim = h
-    return shapes
+
+
+def _tensor_bytes(shape: tuple) -> int:
+    """Bytes of one stored tensor: rank, dims, float64 data."""
+    return 8 * (1 + len(shape) + math.prod(shape))
+
+
+def _checkpoint_bytes(cfg: LMConfig) -> int:
+    """Bytes of all stored tensors, in O(1) whatever num_layers is."""
+    def layer(in_dim, h):
+        return (_tensor_bytes((in_dim, 4 * h)) + _tensor_bytes((h, 4 * h))
+                + _tensor_bytes((4 * h,)))
+
+    d, h, n = cfg.embed_dim, cfg.hidden_dim, cfg.num_layers
+    layers = layer(d, d) if n == 1 else layer(d, h) + (n - 2) * layer(h, h) + layer(h, d)
+    return _tensor_bytes((cfg.vocab_size, d)) + layers

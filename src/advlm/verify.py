@@ -96,36 +96,45 @@ def _fd_check(build, tensors, rng) -> float:
 
 
 def _op_cases(rng):
-    def t(*shape):
-        return Tensor(rng.uniform(-2.0, 2.0, size=shape), requires_grad=True)
+    def t(*shape, r=2.0):
+        return Tensor(rng.uniform(-r, r, size=shape), requires_grad=True)
 
     n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     a, b = t(n, m), t(n, m)
     yield "add", lambda: ad.add(a, b), [a, b]
-    yield "sub", lambda: ad.sub(a, b), [a, b]
     yield "mul", lambda: ad.mul(a, b), [a, b]
-    c = t(n, m)
-    yield "add_const", lambda: ad.add_const(c, 1.7), [c]
-    yield "scale", lambda: ad.scale(c, -0.6), [c]
-    mrow, vrow = t(n, m), t(m)
-    yield "add_rowvec", lambda: ad.add_rowvec(mrow, vrow), [mrow, vrow]
-    x = t(n, m)
-    yield "tanh", lambda: ad.tanh(x), [x]
-    yield "sigmoid", lambda: ad.sigmoid(x), [x]
-    k = int(rng.integers(2, 5))
-    ma, mb = t(n, k), t(k, m)
-    yield "matmul", lambda: ad.matmul(ma, mb), [ma, mb]
-    yield "transpose", lambda: ad.transpose(ma), [ma]
-    yield "sum_all", lambda: ad.sum_all(x), [x]
-    yield "logsumexp_rows", lambda: ad.logsumexp_rows(x), [x]
+    yield "scale", lambda: ad.scale(a, -0.6), [a]
+    yield "sum_all", lambda: ad.sum_all(a), [a]
     emb = t(int(rng.integers(3, 6)), m)
     ids = rng.integers(0, emb.shape[0], size=n)
     yield "gather_rows", lambda: ad.gather_rows(emb, ids), [emb]
-    cols = rng.integers(0, m, size=n)
-    yield "take_per_row", lambda: ad.take_per_row(x, cols), [x]
-    yield "slice_cols", lambda: ad.slice_cols(x, 1, m), [x]
-    p1, p2 = t(n, m), t(int(rng.integers(1, 4)), m)
-    yield "concat_rows", lambda: ad.concat_rows([p1, p2]), [p1, p2]
+    # L >= 2 steps of B >= 2 columns from a nonzero state, then a second
+    # layer of another width stacked on the first
+    L, B, k = int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    x = t(L * B, m)
+    stack, in_dim = [], m
+    for h in (k, k + 1):
+        stack.append([t(in_dim, 4 * h, r=0.7), t(h, 4 * h, r=0.7), t(4 * h, r=0.7),
+                      t(B, h, r=1.0), t(B, h, r=1.0)])
+        in_dim = h
+
+    def lstm(depth):
+        out = x
+        for layer in stack[:depth]:
+            out = ad.lstm_layer(out, *layer)[0]
+        return out
+
+    yield "lstm_layer", lambda: lstm(1), [x, *stack[0]]
+    yield "lstm_layer x2", lambda: lstm(2), [x, *stack[0], *stack[1]]
+    # the head's shift is a constant, so it is fixed from the start values
+    V = int(rng.integers(2, 6))
+    hh, ww = t(n, m), t(V, m)
+    y = rng.integers(0, V, size=n)
+    hnorm = np.linalg.norm(hh.values, axis=1)
+    for mode, eps in (("off", np.zeros(n)), ("fixed", np.full(n, 0.7)),
+                      ("adaptive", 0.3 * np.linalg.norm(ww.values[y], axis=1))):
+        yield (f"nll_rows {mode}",
+               lambda s=eps * hnorm: ad.nll_rows(hh, ww, y, s), [hh, ww])
 
 
 def verify_gradients(seed: int = 0, instances: int = 100,

@@ -9,6 +9,7 @@ import pytest
 from advlm.advsoft import AdvConfig, advsoft_prob
 from advlm.analysis import (
     NN_BLOCK_ELEMS,
+    _recognized_per_probe,
     check_energy_bound,
     check_separation_theorem,
     context_probes,
@@ -33,6 +34,17 @@ def _row_scan(W):
         d2[i] = np.inf
         out[i] = math.sqrt(d2.min())
     return out
+
+
+def _sorted_winners(W, H, eps_per_word):
+    """Recognized word per probe row, read off a full argsort of the logits."""
+    z = H @ W.T
+    order = np.argsort(z, axis=1)
+    best, second = order[:, -1], order[:, -2]
+    n = np.arange(H.shape[0])
+    ok = (z[n, best] - eps_per_word[best] * np.linalg.norm(H, axis=1)
+          > z[n, second])
+    return np.where(ok, best, -1)
 
 
 class TestNearestNeighbor:
@@ -197,6 +209,15 @@ class TestSeparationTheorem:
             eps = float(rng.uniform(0.0, 2.0))
             probes = rng.normal(size=(50, d))
             assert check_separation_theorem(W, eps, probes).holds
+            # tied top logits (a duplicated word, an all-zero probe) and NaN
+            # probes: argmax + partition must agree with the full sort
+            if V > 2:
+                W[2] = W[0]
+            probes[:3] = [np.zeros(d), np.full(d, np.nan), probes[3] * 1e3]
+            probes[4, 0] = np.nan
+            eps_vec = eps * rng.uniform(0.0, 1.0, V)
+            np.testing.assert_array_equal(_recognized_per_probe(W, probes, eps_vec),
+                                          _sorted_winners(W, probes, eps_vec))
 
 
 class TestEnergyPhi:

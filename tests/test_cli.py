@@ -277,8 +277,11 @@ class TestEvalCommand:
         huge_vocab = (data[:8] + struct.pack("<q", 2 ** 40) + data[16:head]
                       + struct.pack("<3q", 2, 2 ** 40, cfg.embed_dim)
                       + data[head + 24:])
+        # headers declaring 10**5 and 2**40 layers over the same tensor bytes
+        many_layers = [data[:32] + struct.pack("<q", n) + data[40:]
+                       for n in (10 ** 5, 2 ** 40)]
         bad = tmp_path / "model.bin"
-        for blob in (data[: len(data) // 2], huge_dims, huge_vocab):
+        for blob in (data[: len(data) // 2], huge_dims, huge_vocab, *many_layers):
             bad.write_bytes(blob)
             rc = main(["eval", "--checkpoint", str(bad), "--vocab",
                        str(trained_run["out"] / "vocab.tsv"), "--corpus",

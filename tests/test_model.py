@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from advlm import autodiff as ad
+from advlm.advsoft import AdvConfig, adv_nll_loss
 from advlm.autodiff import Tape, Tensor
 from advlm.errors import CheckpointError, ConfigError, ShapeError
 from advlm.model import (
@@ -24,9 +24,7 @@ from reference import mle_loss_value as _mle_loss_value
 
 def _mle_loss_taped(params, input_ids, targets):
     contexts, _ = forward(params, input_ids, zero_state(params.config, input_ids.shape[1]))
-    logits = ad.matmul(contexts, ad.transpose(params.embedding))
-    nll = ad.sub(ad.logsumexp_rows(logits), ad.take_per_row(logits, targets.reshape(-1)))
-    return ad.sum_all(nll)
+    return adv_nll_loss(params, contexts, targets, AdvConfig("off")).total
 
 
 class TestConfig:
@@ -143,6 +141,24 @@ class TestForward:
         assert np.abs(a.values - clean.values).max() > 0
         np.testing.assert_array_equal(params.embedding.values, before)
 
+    def test_noise_stream_matches_per_step_draws(self):
+        # one [(L*B) x d] draw per window equals one [B x d] draw per step
+        cfg = LMConfig(vocab_size=7, embed_dim=3, hidden_dim=4, num_layers=2)
+        params = init_params(cfg, 2)
+        ids = np.array([[1, 2], [3, 4], [5, 6]])
+        contexts, _ = forward(params, ids, zero_state(cfg, 2), 0.3,
+                              np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        hs = [np.zeros((2, H)) for H in cfg.layer_sizes]
+        cs = [np.zeros((2, H)) for H in cfg.layer_sizes]
+        for t in range(3):
+            x = params.embedding.values[ids[t]] + rng.normal(0.0, 0.3, size=(2, 3))
+            for k, layer in enumerate(params.layers):
+                hs[k], cs[k] = _hand_lstm_step(layer.w_x.values, layer.w_h.values,
+                                               layer.bias.values, x, hs[k], cs[k])
+                x = hs[k]
+            np.testing.assert_allclose(contexts.values[2 * t:2 * t + 2], x, atol=1e-12)
+
     def test_noise_requires_rng(self):
         cfg = LMConfig(vocab_size=5, embed_dim=3)
         params = init_params(cfg, 1)
@@ -248,10 +264,8 @@ class TestDetachState:
             _, state = forward(params, ids1, zero_state(cfg, 2))
             state = detach_state(state)
             contexts, _ = forward(params, ids2, state)
-            logits = ad.matmul(contexts, ad.transpose(params.embedding))
-            nll = ad.sub(ad.logsumexp_rows(logits),
-                         ad.take_per_row(logits, targets2.reshape(-1)))
-            tape.backward(ad.sum_all(nll))
+            batch = adv_nll_loss(params, contexts, targets2, AdvConfig("off"))
+            tape.backward(batch.total)
         grads = {name: t.grad.copy() for name, t in params.named_tensors()}
 
         # constant-injection reference: window 2 only, state values as input
@@ -260,10 +274,8 @@ class TestDetachState:
                                 for h, c in state.layers])
         with Tape() as tape:
             contexts, _ = forward(ref, ids2, injected)
-            logits = ad.matmul(contexts, ad.transpose(ref.embedding))
-            nll = ad.sub(ad.logsumexp_rows(logits),
-                         ad.take_per_row(logits, targets2.reshape(-1)))
-            tape.backward(ad.sum_all(nll))
+            batch = adv_nll_loss(ref, contexts, targets2, AdvConfig("off"))
+            tape.backward(batch.total)
         for name, t in ref.named_tensors():
             np.testing.assert_array_equal(grads[name], t.grad, err_msg=name)
 
