@@ -69,6 +69,23 @@ class TestElementwise:
         np.testing.assert_allclose(c.values, f * c0.values, rtol=1e-15)
         np.testing.assert_array_equal(hs.values, 0.5 * np.tanh(c.values))
 
+    def test_tanh_gradient_at_0p3(self):
+        # i = 0, f = o = 1 (saturated): c = c0 = 0.3 and h = tanh(0.3), so
+        # dh/dc0 is the layer's tanh derivative at 0.3
+        c0 = ad.Tensor([[0.3]], requires_grad=True)
+        bias = ad.Tensor([-800.0, 800.0, 0.0, 800.0])
+        zeros = ad.Tensor(np.zeros((1, 4)))
+
+        def h_of_c0():
+            return ad.sum_all(ad.lstm_layer(ad.Tensor([[0.0]]), zeros, zeros, bias,
+                                            ad.Tensor([[0.0]]), c0)[0])
+        with ad.Tape() as tape:
+            loss = h_of_c0()
+        tape.backward(loss)
+        np.testing.assert_allclose(c0.grad, [[1.0 - np.tanh(0.3) ** 2]], rtol=1e-15)
+        fd = numerical_grad(lambda: h_of_c0().item(), c0.values)
+        assert rel_error(c0.grad, fd) < OP_TOL
+
     def test_binary_shape_mismatch(self):
         a, b = ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros(4))
         for op in (ad.add, ad.mul):
@@ -219,6 +236,15 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             tape.backward(loss)
 
+    def test_composite_lstm_step_vs_finite_differences(self):
+        # a single 4-unit LSTM step (L = 1), checked end to end
+        rng = np.random.default_rng(6)
+        x, w_x, w_h, bias, h0, c0 = _lstm_args(rng, 1, 2, 3, 4)
+        params = [w_x, w_h, bias]
+        for t in (x, h0, c0):
+            t.requires_grad = False
+        _check_grads(lambda *ps: _lstm_out(x, *ps, h0, c0), params, tol=1e-6)
+
     def test_only_leaves_hold_grad(self):
         rng = np.random.default_rng(3)
         args = _lstm_args(rng, 3, 2, 3, 4)
@@ -268,6 +294,59 @@ class TestLstmLayer:
             ad.lstm_layer(x, w_h, w_h, bias, h0, c0)
 
 
+class TestSupportOps:
+    """What the per-step graph did with separate ops, now inside the fused
+    ops: the row-vector bias of lstm_layer, the per-row target pick and the
+    row-wise log-sum-exp of nll_rows."""
+
+    def test_add_rowvec_bias(self):
+        # with x a column of ones, x @ w_x + bias adds w_x's row and bias to
+        # every row alike, so both get the same gradient
+        rng = np.random.default_rng(7)
+        x, w_x, w_h, bias, h0, c0 = _lstm_args(rng, 2, 2, 1, 3)
+        x.values[:] = 1.0
+        with ad.Tape() as tape:
+            loss = _loss_of(_lstm_out, x, w_x, w_h, bias, h0, c0)
+        tape.backward(loss)
+        np.testing.assert_allclose(bias.grad, w_x.grad[0], rtol=1e-12, atol=1e-15)
+        moved = _lstm_out(x, ad.Tensor(w_x.values + bias.values), w_h,
+                          ad.Tensor(np.zeros(12)), h0, c0)
+        np.testing.assert_allclose(moved.values, _lstm_out(x, w_x, w_h, bias, h0, c0).values,
+                                   rtol=0, atol=1e-15)
+        _check_grads(lambda b: _lstm_out(x, w_x, w_h, b, h0, c0), [bias], tol=1e-6)
+
+    def test_take_per_row(self):
+        # w = I: the logits are h itself, and row r's target logit is picked
+        h = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        shift = np.array([0.25, 0.5])
+        out = ad.nll_rows(h, ad.Tensor(np.eye(3)), [2, 0], shift).values
+        z = h.values.copy()
+        z[[0, 1], [2, 0]] -= shift
+        np.testing.assert_allclose(out, logsumexp_rows(z) - [2.0 - 0.25, 3.0 - 0.5],
+                                   rtol=0, atol=1e-15)
+        _check_grads(lambda t: ad.nll_rows(t, ad.Tensor(np.eye(3)), [2, 0], shift), [h])
+
+    def test_take_per_row_out_of_range(self):
+        with pytest.raises(IndexError, match="5"):
+            _nll(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 3))), [0, 5])
+        with pytest.raises(IndexError, match="-1"):
+            _nll(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 3))), [-1, 0])
+
+    def test_logsumexp_rows_matches_vector_op(self):
+        # the head's log-sum-exp over each row equals the log-sum-exp of that
+        # row taken on its own as a vector
+        rng = np.random.default_rng(10)
+        m = ad.Tensor(rng.uniform(-3, 3, (4, 6)), requires_grad=True)
+        y = [0, 3, 5, 1]
+        lse = _nll(m, ad.Tensor(np.eye(6)), y).values + m.values[range(4), y]
+        for r in range(4):
+            row = m.values[r]
+            top = row.max()
+            assert lse[r] == pytest.approx(top + math.log(sum(math.exp(v - top) for v in row)),
+                                           rel=0, abs=1e-12)
+        _check_grads(lambda t: _nll(t, ad.Tensor(np.eye(6)), y), [m])
+
+
 class TestNllRows:
     def test_matches_reference(self):
         rng = np.random.default_rng(10)
@@ -282,12 +361,6 @@ class TestNllRows:
                                    rtol=0, atol=1e-12)
         # shift is a constant: the op's gradient is its closed form
         _check_grads(lambda a, b: ad.nll_rows(a, b, y, shift), [h, w])
-
-    def test_target_out_of_range(self):
-        with pytest.raises(IndexError, match="5"):
-            _nll(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 3))), [0, 5])
-        with pytest.raises(IndexError, match="-1"):
-            _nll(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 3))), [-1, 0])
 
 
 class TestRandomSweep:
