@@ -31,13 +31,12 @@ def _active_tape():
 class Tensor:
     """A dense float64 array participating in reverse-mode differentiation."""
 
-    __slots__ = ("values", "requires_grad", "grad", "tape")
+    __slots__ = ("values", "requires_grad", "grad")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.tape = None
 
     @property
     def shape(self):
@@ -61,7 +60,9 @@ class Tape:
     """Ordered record of executed ops, replayed in reverse by backward().
 
     A tape is built per minibatch and discarded after the gradient step.
-    Tapes do not nest; one tape per thread at a time.
+    Nothing it records points back at it, so dropping the last reference
+    frees it and its closures at once. Tapes do not nest; one tape per
+    thread at a time.
     """
 
     def __init__(self):
@@ -88,9 +89,9 @@ class Tape:
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {loss.values.shape}"
             )
-        if loss.tape is not self:
-            raise RuntimeError("loss was not recorded on this tape")
         outs = {id(out) for out, _, _ in self.records}
+        if id(loss) not in outs:
+            raise RuntimeError("loss was not recorded on this tape")
         # Per-call adjoints, so a second backward() does not re-propagate the
         # first call's intermediate gradients.
         adjoint = {id(loss): np.ones((), dtype=np.float64)}
@@ -121,18 +122,8 @@ def _record(values: np.ndarray, inputs, backward_fn) -> Tensor:
     out = Tensor(values, requires_grad=requires)
     tape = _active_tape()
     if tape is not None and requires:
-        out.tape = tape
         tape.records.append((out, tuple(inputs), backward_fn))
     return out
-
-
-def detach(t: Tensor) -> Tensor:
-    """Same values, but gradients do not flow through the result into t.
-
-    The returned tensor shares storage with t; no op in this module mutates
-    activation values in place.
-    """
-    return Tensor(t.values)
 
 
 def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:

@@ -114,10 +114,6 @@ def zero_state(config: LMConfig, batch_size: int) -> HiddenState:
     ])
 
 
-def detach_state(state: HiddenState) -> HiddenState:
-    return HiddenState([(ad.detach(h), ad.detach(c)) for h, c in state.layers])
-
-
 def forward(params: LMParams, input_ids: np.ndarray, state: HiddenState,
             input_noise_std: float = 0.0, rng: np.random.Generator | None = None):
     """Run the stack over a [L x B] id window.

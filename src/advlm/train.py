@@ -1,8 +1,9 @@
 """SGD training loop: scheduled input noise, adversarial loss, clipped steps.
 
-Each window runs on its own tape; the hidden state is detached at window
-boundaries so gradients never cross them (truncated BPTT). Evaluation always
-uses the plain softmax (no perturbation, no noise, no recording).
+Each window runs on its own tape, freed when the next window's tape opens.
+The hidden state a window hands on is a constant, so gradients never cross
+window boundaries (truncated BPTT). Evaluation always uses the plain softmax
+(no perturbation, no noise, no recording).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .advsoft import AdvConfig, adv_nll_loss
 from .autodiff import Tape
 from .corpus import BatchStream
 from .errors import ConfigError, EvaluationError, NumericError
-from .model import LMParams, detach_state, forward, zero_state
+from .model import LMParams, forward, zero_state
 
 LOG_HEADER = "epoch,train_ppl,valid_ppl,wall_s,noise_std,mean_eps"
 
@@ -156,7 +157,6 @@ def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
             sgd_step(params, config.learning_rate, config.grad_clip)
         except NumericError as e:
             raise NumericError(f"epoch {epoch}, window {w_idx}: {e}")
-        state = detach_state(state)
         total_nll += batch.total.item()
         tokens += batch.count
         eps_sum += float(batch.epsilons.sum())

@@ -1,6 +1,8 @@
 """Unit tests for the reverse-mode autodiff engine."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -153,29 +155,6 @@ class TestLogSumExp:
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(c))
 
 
-class TestDetach:
-    def test_stop_gradient_product(self):
-        # d/dx of x * stop(x) is stop(x), i.e. 2 at x=2, not 4.
-        x = ad.Tensor([2.0], requires_grad=True)
-        with ad.Tape() as tape:
-            loss = ad.sum_all(ad.mul(x, ad.detach(x)))
-        tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, [2.0])
-
-    def test_values_identical(self):
-        t = ad.Tensor(np.random.default_rng(4).normal(size=(3, 2)))
-        assert np.array_equal(ad.detach(t).values, t.values)
-
-    def test_detached_subgraph_gets_exactly_zero(self):
-        x = ad.Tensor([1.0, -2.0], requires_grad=True)
-        y = ad.Tensor([3.0, 4.0], requires_grad=True)
-        with ad.Tape() as tape:
-            loss = ad.sum_all(ad.mul(ad.detach(ad.scale(x, 3.0)), y))
-        tape.backward(loss)
-        assert x.grad is None  # no gradient ever flowed into the detached branch
-        np.testing.assert_array_equal(y.grad, 3.0 * x.values)
-
-
 class TestGatherRows:
     def test_identity_row(self):
         out = ad.gather_rows(ad.Tensor(np.eye(3)), [2])
@@ -235,6 +214,38 @@ class TestBackward:
             pass
         with pytest.raises(RuntimeError):
             tape.backward(loss)
+
+    def test_loss_from_other_tape_rejected(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        with ad.Tape() as tape_a:
+            loss = ad.sum_all(x)
+        with ad.Tape() as tape_b:
+            ad.sum_all(ad.scale(x, 2.0))
+        with pytest.raises(RuntimeError):
+            tape_b.backward(loss)
+        assert x.grad is None
+        tape_a.backward(loss)
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
+    def test_tape_freed_by_reference_counting(self):
+        # nothing a tape records points back at it, so dropping the last
+        # reference frees it (and the buffers its closures hold) without
+        # waiting for the cyclic collector
+        gc.disable()
+        try:
+            x = ad.Tensor([1.0, 2.0], requires_grad=True)
+            with ad.Tape() as tape:
+                y = ad.scale(x, 3.0)
+                loss = ad.sum_all(ad.mul(y, y))
+            tape.backward(loss)
+            ref = weakref.ref(tape)
+            del tape
+            assert ref() is None
+            assert loss.item() == 45.0
+            np.testing.assert_array_equal(y.values, [3.0, 6.0])
+            np.testing.assert_array_equal(x.grad, [18.0, 36.0])
+        finally:
+            gc.enable()
 
     def test_composite_lstm_step_vs_finite_differences(self):
         # a single 4-unit LSTM step (L = 1), checked end to end

@@ -1,11 +1,15 @@
 """Training loop tests: optimizer, schedule, determinism, perplexity."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import advlm.train
 from advlm.advsoft import AdvConfig
+from advlm.autodiff import Tape
 from advlm.corpus import batchify
 from advlm.errors import ConfigError, EvaluationError, NumericError
 from advlm.model import LMConfig, init_params
@@ -181,6 +185,30 @@ class TestTrainEpoch:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError, match="window 0"):
                 train_epoch(params, stream, tcfg, 0)
+
+    def test_each_window_tape_freed_when_next_opens(self, monkeypatch):
+        refs = []
+        alive_before = []
+
+        class RecordingTape(Tape):
+            def __enter__(self):
+                alive_before.append(sum(r() is not None for r in refs))
+                refs.append(weakref.ref(self))
+                return super().__enter__()
+
+        monkeypatch.setattr(advlm.train, "Tape", RecordingTape)
+        params = init_params(LMConfig(vocab_size=6, embed_dim=5), 3)
+        stream = batchify(np.random.default_rng(0).integers(0, 6, 80), 2, 5)
+        tcfg = TrainConfig(epochs=1, batch_size=2, bptt_len=5,
+                           adv=AdvConfig("fixed", 0.4))
+        gc.disable()
+        try:
+            train_epoch(params, stream, tcfg, 0)
+            assert len(refs) == stream.num_windows > 2
+            assert max(alive_before) <= 1
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
 
 
 class TestEvaluate:
