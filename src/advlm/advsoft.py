@@ -60,17 +60,15 @@ class AdvLossBatch:
     count: int
     epsilons: np.ndarray
 
-    @property
-    def mean_nll(self) -> float:
-        return self.total.item() / self.count
 
-
-def epsilon_for_target(config: AdvConfig, w_target: np.ndarray) -> float:
+def epsilons(config: AdvConfig, rows: np.ndarray) -> np.ndarray:
+    """Perturbation radius for each target embedding row of [N x d] rows:
+    0 (off), EPS (fixed), or ALPHA * ||w_target|| (adaptive)."""
     if config.mode == "off":
-        return 0.0
+        return np.zeros(len(rows))
     if config.mode == "fixed":
-        return config.value
-    return config.value * float(np.linalg.norm(w_target))
+        return np.full(len(rows), config.value)
+    return config.value * np.linalg.norm(rows, axis=1)
 
 
 def optimal_perturbation(h: np.ndarray, eps: float) -> np.ndarray:
@@ -180,12 +178,7 @@ def adv_nll_loss(params: LMParams, contexts: Tensor, targets: np.ndarray,
     if flat.size and (flat.min() < 0 or flat.max() >= V):
         raise IndexError(f"target id out of range for vocab size {V}")
 
-    if config.mode == "off":
-        eps = np.zeros(flat.size)
-    elif config.mode == "fixed":
-        eps = np.full(flat.size, config.value)
-    else:
-        eps = config.value * np.linalg.norm(params.embedding.values[flat], axis=1)
+    eps = epsilons(config, params.embedding.values[flat])
     # constant offsets: no gradient through ||h|| or ||w_target||
     shift = eps * np.linalg.norm(contexts.values, axis=1) if eps.any() else eps
     nll = ad.nll_rows(contexts, params.embedding, flat, shift)

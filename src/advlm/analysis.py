@@ -1,5 +1,5 @@
 """Embedding-diversity diagnostics: nearest-neighbor distances, spectrum,
-recognizability, and the separation/energy-bound theorem checkers.
+recognizability, and the energy-bound theorem checker.
 
 All functions take plain numpy matrices; nothing here touches the tape.
 """
@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .advsoft import AdvConfig, advsoft_prob, epsilon_for_target
-from .errors import NumericError, ShapeError
+from .advsoft import AdvConfig, _check_index, advsoft_prob, epsilons
+from .corpus import write_text_atomic
+from .errors import ConfigError, NumericError, ShapeError
 
 BOUND_SLACK = 1e-12
 # Elements in one row block x V temporary of nearest_neighbor_distances.
@@ -87,16 +87,21 @@ def sv_entropy(sv: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _check_word(i: int, W: np.ndarray) -> np.ndarray:
+    """W as float64, with at least 2 rows and i one of its word ids."""
+    W = np.asarray(W, dtype=np.float64)
+    V = W.shape[0]
+    if V < 2:
+        raise ShapeError(f"need at least 2 rows, got {V}")
+    _check_index(i, V)
+    return W
+
+
 def is_recognizable(i: int, W: np.ndarray, h: np.ndarray, eps: float) -> bool:
     """True when w_i strictly dominates every competitor even after its logit
     is lowered by eps*||h||."""
-    W = np.asarray(W, dtype=np.float64)
+    W = _check_word(i, W)
     h = np.asarray(h, dtype=np.float64)
-    V = W.shape[0]
-    if not 0 <= i < V:
-        raise IndexError(f"word id {i} out of range for vocab size {V}")
-    if V < 2:
-        raise ShapeError(f"need at least 2 rows, got {V}")
     z = W @ h
     own = z[i] - eps * np.linalg.norm(h)
     z[i] = -np.inf
@@ -117,30 +122,6 @@ def _recognized_per_probe(W: np.ndarray, H: np.ndarray, eps_per_word: np.ndarray
     return np.where(ok, best, -1)
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    recognized_words: list[int]
-    violations: list[tuple[int, float, float]]  # (word, nn_distance, eps)
-
-    @property
-    def holds(self) -> bool:
-        return not self.violations
-
-
-def check_separation_theorem(W: np.ndarray, eps: float,
-                             probes: np.ndarray) -> SeparationReport:
-    """Every word recognized by some probe must sit further than eps from its
-    nearest neighbor. Violations are returned, never silently dropped."""
-    W = np.asarray(W, dtype=np.float64)
-    probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
-    nn = nearest_neighbor_distances(W)
-    eps_vec = np.full(W.shape[0], eps)
-    winners = _recognized_per_probe(W, probes, eps_vec)
-    recognized = sorted(set(int(w) for w in winners if w >= 0))
-    violations = [(i, float(nn[i]), eps) for i in recognized if not nn[i] > eps]
-    return SeparationReport(recognized, violations)
-
-
 def _neg_logsumexp(terms: np.ndarray) -> float:
     m = terms.max()
     return float(-(m + np.log(np.exp(terms - m).sum())))
@@ -149,12 +130,7 @@ def _neg_logsumexp(terms: np.ndarray) -> float:
 def energy_phi(i: int, W: np.ndarray, a: float, eps: float) -> tuple[float, float]:
     """Distance energy Phi = -log sum_{j!=i} exp(-a(||w_i-w_j|| - eps)) and its
     upper bound a*min_{j!=i}(||w_i-w_j|| - eps)."""
-    W = np.asarray(W, dtype=np.float64)
-    V = W.shape[0]
-    if V < 2:
-        raise ShapeError(f"need at least 2 rows, got {V}")
-    if not 0 <= i < V:
-        raise IndexError(f"word id {i} out of range for vocab size {V}")
+    W = _check_word(i, W)
     d = np.linalg.norm(W - W[i], axis=1)
     d = np.delete(d, i)
     phi = _neg_logsumexp(-a * (d - eps))
@@ -164,13 +140,8 @@ def energy_phi(i: int, W: np.ndarray, a: float, eps: float) -> tuple[float, floa
 def energy_psi(i: int, W: np.ndarray, h: np.ndarray, eps: float) -> float:
     """Context energy Psi = -log sum_{j!=i} exp((w_j-w_i).h + eps||h||);
     the adversarial probability equals sigmoid(Psi) exactly."""
-    W = np.asarray(W, dtype=np.float64)
+    W = _check_word(i, W)
     h = np.asarray(h, dtype=np.float64)
-    V = W.shape[0]
-    if V < 2:
-        raise ShapeError(f"need at least 2 rows, got {V}")
-    if not 0 <= i < V:
-        raise IndexError(f"word id {i} out of range for vocab size {V}")
     terms = (W - W[i]) @ h + eps * np.linalg.norm(h)
     return _neg_logsumexp(np.delete(terms, i))
 
@@ -208,11 +179,7 @@ class DiversityReport:
         }
 
     def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_text_atomic(path, json.dumps(self.to_dict(), indent=1) + "\n")
 
 
 def diversity_report(W: np.ndarray, adv: AdvConfig,
@@ -222,7 +189,7 @@ def diversity_report(W: np.ndarray, adv: AdvConfig,
     W = np.asarray(W, dtype=np.float64)
     nn = nearest_neighbor_distances(W)
     sv = singular_values(W)
-    eps_vec = np.array([epsilon_for_target(adv, W[i]) for i in range(W.shape[0])])
+    eps_vec = epsilons(adv, W)
     seen = set()
     entries = []
     for source, H in probe_sets:
@@ -255,9 +222,16 @@ def context_probes(params, stream, num_random: int = 1000,
         contexts, state = forward(params, inputs, state)
         rows.append(contexts.values)
     H = np.vstack(rows)
-    scale = float(np.median(np.linalg.norm(H, axis=1)))
-    if scale == 0.0:
-        scale = 1.0
-    R = rng.normal(size=(num_random, params.config.embed_dim))
+    return [("train", H), ("random", random_probes(H, num_random, rng))]
+
+
+def random_probes(rows: np.ndarray, num_random: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """num_random random directions scaled to the median norm of rows (to 1
+    when that median is 0)."""
+    if num_random < 0:
+        raise ConfigError(f"num_random must be >= 0, got {num_random}")
+    scale = float(np.median(np.linalg.norm(rows, axis=1))) or 1.0
+    R = rng.normal(size=(num_random, rows.shape[1]))
     R *= scale / np.linalg.norm(R, axis=1, keepdims=True)
-    return [("train", H), ("random", R)]
+    return R

@@ -42,10 +42,6 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def item(self) -> float:
         return float(self.values)
 

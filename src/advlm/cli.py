@@ -16,15 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advsoft import AdvConfig
-from .analysis import context_probes, diversity_report
-from .corpus import BatchStream, Vocab, batchify, build_vocab, read_tokens
+from .analysis import context_probes, diversity_report, random_probes
+from .corpus import (BatchStream, Vocab, batchify, build_vocab, read_tokens,
+                     split_tokens, write_text_atomic)
 from .errors import (CheckpointError, ConfigError, CorpusError,
                      EvaluationError, NumericError, ShapeError)
 from .model import LMConfig, init_params, load_checkpoint, save_checkpoint
 from .train import LOG_HEADER, TrainConfig, evaluate, train
 from .verify import run_all
-
-VALID_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ TRAIN_SCHEMA = {
 }
 
 
-def parse_config(text: str, schema: dict = TRAIN_SCHEMA) -> dict:
+def parse_config(text: str) -> dict:
     """Parse flat `key = value` lines; unknown keys and bad values are errors."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -70,19 +69,19 @@ def parse_config(text: str, schema: dict = TRAIN_SCHEMA) -> dict:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in schema:
+        if key not in TRAIN_SCHEMA:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
-            out[key] = schema[key].parse(value)
+            out[key] = TRAIN_SCHEMA[key].parse(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}")
     return out
 
 
-def serialize_config(cfg: dict, schema: dict = TRAIN_SCHEMA) -> str:
+def serialize_config(cfg: dict) -> str:
     """Canonical text form; floats use repr so parsing back is exact."""
     lines = []
-    for key in schema:
+    for key in TRAIN_SCHEMA:
         if key not in cfg:
             continue
         value = cfg[key]
@@ -92,15 +91,17 @@ def serialize_config(cfg: dict, schema: dict = TRAIN_SCHEMA) -> str:
 
 
 def resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("ADVLM_SEED")
-    if env is None:
-        return 0
+    """The given seed, else ADVLM_SEED, else 0; it must be non-negative."""
+    source = "seed"
+    if value is None:
+        source, value = "ADVLM_SEED", os.environ.get("ADVLM_SEED", "0")
     try:
-        return int(env)
+        seed = int(value)
     except ValueError:
-        raise ConfigError(f"ADVLM_SEED must be an integer, got {env!r}")
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _merged_train_config(args) -> dict:
@@ -108,7 +109,10 @@ def _merged_train_config(args) -> dict:
     file_cfg = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
-            file_cfg = parse_config(fh.read())
+            try:
+                file_cfg = parse_config(fh.read())
+            except UnicodeDecodeError as e:
+                raise ConfigError(f"config {args.config} is not UTF-8: {e}")
         cfg.update(file_cfg)
     for key in TRAIN_SCHEMA:
         value = getattr(args, key)
@@ -117,19 +121,6 @@ def _merged_train_config(args) -> dict:
     if args.seed is None and "seed" not in file_cfg:
         cfg["seed"] = resolve_seed(None)
     return cfg
-
-
-def split_tokens(tokens: list[str]) -> tuple[list[str], list[str]]:
-    """Deterministic 90/10 head/tail split, shared by train and eval."""
-    cut = int(len(tokens) * (1.0 - VALID_FRACTION))
-    return tokens[:cut], tokens[cut:]
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _load_train_valid(cfg: dict) -> tuple[list[str], list[str]]:
@@ -163,7 +154,7 @@ def cmd_train(args) -> int:
                             cfg["bptt_len"])
     os.makedirs(cfg["out"], exist_ok=True)
     vocab.save(os.path.join(cfg["out"], "vocab.tsv"))
-    _atomic_write(os.path.join(cfg["out"], "config.txt"), serialize_config(cfg))
+    write_text_atomic(os.path.join(cfg["out"], "config.txt"), serialize_config(cfg))
     params = init_params(lm_cfg, cfg["seed"])
     print(f"vocab_size={len(vocab)}")
     print(LOG_HEADER)
@@ -174,11 +165,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_vocab_for(args, checkpoint_path: str) -> Vocab:
+def _load_vocab_for(args, params) -> Vocab:
+    """--vocab, or the vocab.tsv next to --checkpoint; it must match params."""
     path = args.vocab
     if path is None:
-        path = os.path.join(os.path.dirname(checkpoint_path) or ".", "vocab.tsv")
-    return Vocab.load(path)
+        path = os.path.join(os.path.dirname(args.checkpoint) or ".", "vocab.tsv")
+    vocab = Vocab.load(path)
+    if len(vocab) != params.config.vocab_size:
+        raise ConfigError(
+            f"vocab has {len(vocab)} entries but checkpoint expects "
+            f"{params.config.vocab_size}")
+    return vocab
 
 
 def _eval_stream(args, vocab: Vocab) -> BatchStream:
@@ -191,12 +188,7 @@ def _eval_stream(args, vocab: Vocab) -> BatchStream:
 
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    vocab = _load_vocab_for(args, args.checkpoint)
-    if len(vocab) != params.config.vocab_size:
-        raise ConfigError(
-            f"vocab has {len(vocab)} entries but checkpoint expects "
-            f"{params.config.vocab_size}")
-    ppl = evaluate(params, _eval_stream(args, vocab))
+    ppl = evaluate(params, _eval_stream(args, _load_vocab_for(args, params)))
     print(f"perplexity={ppl:.6g}")
     return 0
 
@@ -207,11 +199,7 @@ def cmd_analyze(args) -> int:
     W = params.embedding.values
     rng = np.random.default_rng(resolve_seed(args.seed))
     if args.corpus is not None:
-        vocab = _load_vocab_for(args, args.checkpoint)
-        if len(vocab) != params.config.vocab_size:
-            raise ConfigError(
-                f"vocab has {len(vocab)} entries but checkpoint expects "
-                f"{params.config.vocab_size}")
+        vocab = _load_vocab_for(args, params)
         stream = _eval_stream(args, vocab)
         probes = context_probes(params, stream, num_random=args.num_random,
                                 rng=rng)
@@ -219,10 +207,7 @@ def cmd_analyze(args) -> int:
     else:
         # No contexts available: probe with random directions at the typical
         # embedding-row scale.
-        scale = float(np.median(np.linalg.norm(W, axis=1))) or 1.0
-        R = rng.normal(size=(args.num_random, params.config.embed_dim))
-        R *= scale / np.linalg.norm(R, axis=1, keepdims=True)
-        probes = [("random", R)]
+        probes = [("random", random_probes(W, args.num_random, rng))]
         words = [str(i) for i in range(W.shape[0])]
     report = diversity_report(W, adv, probes)
     os.makedirs(args.out, exist_ok=True)
@@ -230,8 +215,8 @@ def cmd_analyze(args) -> int:
     rows = ["word,nn_distance"]
     rows += ["%s,%.9g" % (words[i], d)
              for i, d in enumerate(report.nn_distances)]
-    _atomic_write(os.path.join(args.out, "nn_distances.csv"),
-                  "\n".join(rows) + "\n")
+    write_text_atomic(os.path.join(args.out, "nn_distances.csv"),
+                      "\n".join(rows) + "\n")
     print("median_nn_distance=%.6g" % float(np.median(report.nn_distances)))
     print("sv_entropy=%.6g" % report.sv_entropy)
     print("recognized_words=%d" % len(report.recognized_words))

@@ -17,6 +17,15 @@ UNK = "<unk>"
 EOS = "<eos>"
 UNK_ID = 0
 EOS_ID = 1
+VALID_FRACTION = 0.1
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Write UTF-8 text to a sibling .tmp file, then rename it over path."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def read_tokens(path: str) -> list[str]:
@@ -34,6 +43,12 @@ def read_tokens(path: str) -> list[str]:
         except UnicodeDecodeError as e:
             raise CorpusError(f"corpus {path} is not UTF-8: {e}")
     return tokens
+
+
+def split_tokens(tokens: list[str]) -> tuple[list[str], list[str]]:
+    """Deterministic 90/10 head/tail split into train and valid tokens."""
+    cut = int(len(tokens) * (1.0 - VALID_FRACTION))
+    return tokens[:cut], tokens[cut:]
 
 
 class Vocab:
@@ -54,15 +69,9 @@ class Vocab:
         get = self.token_to_id.get
         return np.fromiter((get(t, UNK_ID) for t in tokens), dtype=np.int64, count=len(tokens))
 
-    def decode(self, ids) -> list[str]:
-        return [self.id_to_token[int(i)] for i in ids]
-
     def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for i, tok in enumerate(self.id_to_token):
-                fh.write(f"{tok}\t{i}\n")
-        os.replace(tmp, path)
+        write_text_atomic(path, "".join(f"{tok}\t{i}\n"
+                                        for i, tok in enumerate(self.id_to_token)))
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
@@ -113,7 +122,6 @@ class BatchStream:
     def __init__(self, data: np.ndarray, bptt_len: int):
         self.data = data
         self.bptt_len = bptt_len
-        self.cursor = 0
 
     @property
     def batch_size(self) -> int:
@@ -130,8 +138,7 @@ class BatchStream:
     def windows(self):
         """Yield (inputs, targets) int64 arrays of shape [L x B], rewound."""
         L = self.bptt_len
-        for self.cursor in range(self.num_windows):
-            lo = self.cursor * L
+        for lo in range(0, self.num_windows * L, L):
             yield self.data[lo:lo + L], self.data[lo + 1:lo + L + 1]
 
     def __iter__(self):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .advsoft import AdvConfig
 from .analysis import nearest_neighbor_distances, singular_values, sv_entropy
-from .corpus import batchify, build_vocab, read_tokens
+from .corpus import batchify, build_vocab, read_tokens, split_tokens
 from .errors import ConfigError
 from .model import LMConfig, init_params
 from .train import TrainConfig, train
@@ -119,10 +119,9 @@ class ExperimentResult:
 
 def load_split(corpus_path: str | None = None):
     """Bundled-corpus token ids: 90% train head, 10% valid tail."""
-    tokens = read_tokens(corpus_path or bundled_corpus_path())
-    cut = int(len(tokens) * 0.9)
-    vocab = build_vocab(tokens[:cut])
-    return vocab.encode(tokens[:cut]), vocab.encode(tokens[cut:]), len(vocab)
+    head, tail = split_tokens(read_tokens(corpus_path or bundled_corpus_path()))
+    vocab = build_vocab(head)
+    return vocab.encode(head), vocab.encode(tail), len(vocab)
 
 
 def run_one(train_ids: np.ndarray, valid_ids: np.ndarray, vocab_size: int,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,9 @@ class LMConfig:
             )
         if self.hidden_dim < 1:
             raise ConfigError(f"hidden_dim must be positive, got {self.hidden_dim}")
-        if self.init_range < 0:
-            raise ConfigError(f"init_range must be non-negative, got {self.init_range}")
+        if not 0 <= self.init_range < math.inf:
+            raise ConfigError(
+                f"init_range must be finite and non-negative, got {self.init_range}")
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -62,7 +63,7 @@ class LayerParams:
 class LMParams:
     config: LMConfig
     embedding: Tensor
-    layers: list[LayerParams] = field(default_factory=list)
+    layers: list[LayerParams]
 
     def named_tensors(self):
         yield "embedding", self.embedding
@@ -73,9 +74,6 @@ class LMParams:
 
     def tensors(self):
         return [t for _, t in self.named_tensors()]
-
-    def num_params(self) -> int:
-        return sum(t.size for t in self.tensors())
 
 
 @dataclass
@@ -89,22 +87,20 @@ class HiddenState:
         return self.layers[0][0].shape[0]
 
 
+def _build_params(config: LMConfig, arrays) -> LMParams:
+    """LMParams from arrays given in _expected_shapes order."""
+    it = (Tensor(a, requires_grad=True) for a in arrays)
+    embedding = next(it)
+    layers = [LayerParams(next(it), next(it), next(it)) for _ in range(config.num_layers)]
+    return LMParams(config, embedding, layers)
+
+
 def init_params(config: LMConfig, seed: int) -> LMParams:
+    """Every weight uniform in [-init_range, init_range), drawn in order."""
     rng = np.random.default_rng(seed)
     r = config.init_range
-
-    def uniform(shape):
-        return Tensor(rng.uniform(-r, r, size=shape), requires_grad=True)
-
-    params = LMParams(config, uniform((config.vocab_size, config.embed_dim)))
-    in_dim = config.embed_dim
-    for h_dim in config.layer_sizes:
-        params.layers.append(
-            LayerParams(uniform((in_dim, 4 * h_dim)), uniform((h_dim, 4 * h_dim)),
-                        uniform((4 * h_dim,)))
-        )
-        in_dim = h_dim
-    return params
+    return _build_params(config, (rng.uniform(-r, r, size=shape)
+                                  for _, shape in _expected_shapes(config)))
 
 
 def zero_state(config: LMConfig, batch_size: int) -> HiddenState:
@@ -219,22 +215,16 @@ def load_checkpoint(path: str) -> LMParams:
                 left -= _tensor_bytes(shape)
                 if left < 0:
                     raise CheckpointError(f"truncated checkpoint while reading {name}")
-        params = LMParams(cfg, Tensor(np.empty(0), requires_grad=True))
-        params.layers = [
-            LayerParams(Tensor(np.empty(0), requires_grad=True),
-                        Tensor(np.empty(0), requires_grad=True),
-                        Tensor(np.empty(0), requires_grad=True))
-            for _ in range(cfg.num_layers)
-        ]
-        for (name, t), (_, shape) in zip(params.named_tensors(), _expected_shapes(cfg)):
-            t.values = _read_tensor(fh, name, shape)
+        params = _build_params(cfg, (_read_tensor(fh, name, shape)
+                                     for name, shape in _expected_shapes(cfg)))
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
     return params
 
 
 def _expected_shapes(cfg: LMConfig):
-    """(name, shape) of every tensor in checkpoint order, generated lazily."""
+    """(name, shape) of every tensor in named_tensors() order, generated
+    lazily: the one statement of the parameter layout."""
     yield "embedding", (cfg.vocab_size, cfg.embed_dim)
     in_dim = cfg.embed_dim
     for k in range(cfg.num_layers):

@@ -9,7 +9,6 @@ window boundaries (truncated BPTT). Evaluation always uses the plain softmax
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .advsoft import AdvConfig, adv_nll_loss
 from .autodiff import Tape
-from .corpus import BatchStream
+from .corpus import BatchStream, write_text_atomic
 from .errors import ConfigError, EvaluationError, NumericError
 from .model import LMParams, forward, zero_state
 
@@ -44,13 +43,16 @@ class TrainConfig:
                 f"epochs, batch_size, bptt_len must be positive, got "
                 f"{self.epochs}, {self.batch_size}, {self.bptt_len}"
             )
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.grad_clip <= 0:
-            raise ConfigError(f"grad_clip must be positive, got {self.grad_clip}")
-        if not self.input_noise_start >= self.input_noise_end >= 0:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not 0 <= self.learning_rate < math.inf:
             raise ConfigError(
-                f"need input_noise_start >= input_noise_end >= 0, got "
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0 < self.grad_clip < math.inf:
+            raise ConfigError(f"grad_clip must be finite and positive, got {self.grad_clip}")
+        if not math.inf > self.input_noise_start >= self.input_noise_end >= 0:
+            raise ConfigError(
+                f"need finite input_noise_start >= input_noise_end >= 0, got "
                 f"{self.input_noise_start}, {self.input_noise_end}"
             )
         if self.eval_interval < 1:
@@ -88,12 +90,8 @@ class TrainLog:
     rows: list[LogRow] = field(default_factory=list)
 
     def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(LOG_HEADER + "\n")
-            for row in self.rows:
-                fh.write(row.as_csv() + "\n")
-        os.replace(tmp, path)
+        write_text_atomic(path, "\n".join([LOG_HEADER] + [r.as_csv() for r in self.rows])
+                          + "\n")
 
     @classmethod
     def load(cls, path: str) -> "TrainLog":
@@ -107,13 +105,6 @@ class TrainLog:
                 log.rows.append(LogRow(int(e), float(tp), float(vp), float(w),
                                        float(n), float(m)))
         return log
-
-    @property
-    def final_valid_ppl(self) -> float:
-        for row in reversed(self.rows):
-            if not math.isnan(row.valid_ppl):
-                return row.valid_ppl
-        raise EvaluationError("log has no validation entries")
 
 
 def sgd_step(params: LMParams, learning_rate: float, grad_clip: float) -> None:

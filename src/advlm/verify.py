@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .advsoft import AdvConfig, adv_nll_loss, advsoft_prob, brute_force_advsoft
+from .advsoft import (AdvConfig, adv_nll_loss, advsoft_prob, brute_force_advsoft,
+                      epsilons)
 from .analysis import (
+    _sigmoid,
     check_energy_bound,
     energy_phi,
     energy_psi,
@@ -23,7 +25,7 @@ from .analysis import (
 )
 from .autodiff import Tape, Tensor
 from .corpus import batchify
-from .errors import EvaluationError
+from .errors import ConfigError, EvaluationError
 from .model import LMConfig, forward, init_params, zero_state
 from .train import evaluate
 
@@ -131,10 +133,10 @@ def _op_cases(rng):
     hh, ww = t(n, m), t(V, m)
     y = rng.integers(0, V, size=n)
     hnorm = np.linalg.norm(hh.values, axis=1)
-    for mode, eps in (("off", np.zeros(n)), ("fixed", np.full(n, 0.7)),
-                      ("adaptive", 0.3 * np.linalg.norm(ww.values[y], axis=1))):
-        yield (f"nll_rows {mode}",
-               lambda s=eps * hnorm: ad.nll_rows(hh, ww, y, s), [hh, ww])
+    for adv in (AdvConfig("off"), AdvConfig("fixed", 0.7), AdvConfig("adaptive", 0.3)):
+        yield (f"nll_rows {adv.mode}",
+               lambda s=epsilons(adv, ww.values[y]) * hnorm: ad.nll_rows(hh, ww, y, s),
+               [hh, ww])
 
 
 def verify_gradients(seed: int = 0, instances: int = 100,
@@ -321,9 +323,7 @@ def verify_energy_bound(seed: int = 0, instances: int = 10 ** 4,
         i = int(rng.integers(V))
         p = advsoft_prob(i, W, h, eps)
         psi = energy_psi(i, W, h, eps)
-        sig_psi = 1.0 / (1.0 + math.exp(-psi)) if psi >= 0 else \
-            math.exp(psi) / (1.0 + math.exp(psi))
-        gap = abs(p - sig_psi)
+        gap = abs(p - _sigmoid(psi))
         worst_eq = max(worst_eq, gap)
         if gap >= tol:
             return SuiteResult("energy-bound", False, k + 1, gap,
@@ -368,6 +368,9 @@ def verify_uniform_identity(seed: int = 0) -> SuiteResult:
 
 def run_all(seed: int = 0, scale: float = 1.0) -> list[SuiteResult]:
     """Run every suite; scale < 1 shrinks instance counts for smoke runs."""
+    if not math.isfinite(scale):
+        raise ConfigError(f"scale must be finite, got {scale}")
+
     def n(full):
         return max(1, int(full * scale))
 

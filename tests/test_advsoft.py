@@ -8,7 +8,7 @@ from advlm.advsoft import (
     adv_nll_loss,
     advsoft_prob,
     brute_force_advsoft,
-    epsilon_for_target,
+    epsilons,
     optimal_perturbation,
 )
 from advlm.autodiff import Tape, Tensor
@@ -46,13 +46,15 @@ class TestAdvConfig:
 
 class TestEpsilonForTarget:
     def test_modes(self):
-        w = np.array([2.0, 0.0])
-        assert epsilon_for_target(AdvConfig("off"), w) == 0.0
-        assert epsilon_for_target(AdvConfig("fixed", 0.3), w) == 0.3
-        assert epsilon_for_target(AdvConfig("adaptive", 0.005), w) == pytest.approx(0.01)
+        rows = np.array([[2.0, 0.0], [0.0, 4.0]])
+        np.testing.assert_array_equal(epsilons(AdvConfig("off"), rows), [0.0, 0.0])
+        np.testing.assert_array_equal(epsilons(AdvConfig("fixed", 0.3), rows), [0.3, 0.3])
+        np.testing.assert_allclose(epsilons(AdvConfig("adaptive", 0.005), rows),
+                                   [0.01, 0.02], rtol=1e-15)
 
     def test_zero_row_degenerates_gracefully(self):
-        assert epsilon_for_target(AdvConfig("adaptive", 0.1), np.zeros(4)) == 0.0
+        np.testing.assert_array_equal(
+            epsilons(AdvConfig("adaptive", 0.1), np.zeros((3, 4))), np.zeros(3))
 
 
 class TestOptimalPerturbation:

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from advlm.advsoft import AdvConfig, advsoft_prob
+from advlm.advsoft import AdvConfig, adv_nll_loss, advsoft_prob
+from advlm.autodiff import Tensor
 from advlm.analysis import (
     NN_BLOCK_ELEMS,
     _recognized_per_probe,
     check_energy_bound,
-    check_separation_theorem,
     context_probes,
     diversity_report,
     energy_phi,
@@ -182,13 +182,20 @@ class TestRecognizable:
         assert 0 < hits < 300  # sweep exercised both outcomes
 
 
+def _separation_holds(report):
+    """The theorem on a report: every recognized word sits further than its
+    epsilon from its nearest neighbor."""
+    return all(e["nn_distance"] > e["epsilon"] for e in report.recognized_words)
+
+
 class TestSeparationTheorem:
     def test_hand_case(self):
         W = np.array([[2.0, 0.0], [0.0, 1.0]])
-        report = check_separation_theorem(W, 1.0, np.array([[1.0, 0.0]]))
-        assert report.recognized_words == [0]
-        assert report.holds
-        assert math.sqrt(5.0) > 1.0  # the distance backing the no-violation claim
+        report = diversity_report(W, AdvConfig("fixed", 1.0),
+                                  [("probe", np.array([[1.0, 0.0]]))])
+        assert [e["word_id"] for e in report.recognized_words] == [0]
+        assert report.recognized_words[0]["nn_distance"] == math.sqrt(5.0)
+        assert _separation_holds(report)
 
     def test_close_rows_never_recognized(self):
         rng = np.random.default_rng(5)
@@ -196,10 +203,12 @@ class TestSeparationTheorem:
         W[3] = W[1] + 0.05 * rng.normal(size=4) / np.linalg.norm(rng.normal(size=4))
         eps = np.linalg.norm(W[3] - W[1]) + 0.01
         probes = rng.normal(size=(1000, 4))
-        report = check_separation_theorem(W, float(eps), probes)
-        assert 1 not in report.recognized_words
-        assert 3 not in report.recognized_words
-        assert report.holds
+        report = diversity_report(W, AdvConfig("fixed", float(eps)), [("probe", probes)])
+        recognized = [e["word_id"] for e in report.recognized_words]
+        assert 1 not in recognized
+        assert 3 not in recognized
+        assert recognized  # the probes do recognize other words
+        assert _separation_holds(report)
 
     def test_no_violations_on_random_sweep(self):
         rng = np.random.default_rng(6)
@@ -208,7 +217,8 @@ class TestSeparationTheorem:
             W = rng.normal(size=(V, d))
             eps = float(rng.uniform(0.0, 2.0))
             probes = rng.normal(size=(50, d))
-            assert check_separation_theorem(W, eps, probes).holds
+            for adv in (AdvConfig("fixed", eps), AdvConfig("adaptive", eps)):
+                assert _separation_holds(diversity_report(W, adv, [("p", probes)]))
             # tied top logits (a duplicated word, an all-zero probe) and NaN
             # probes: argmax + partition must agree with the full sort
             if V > 2:
@@ -346,6 +356,21 @@ class TestDiversityReport:
                              "sv_entropy", "recognized_words"}
         assert data["sv_entropy"] == pytest.approx(rep.sv_entropy)
         assert len(data["nn_distances"]) == 8
+
+    def test_epsilon_is_the_loss_radius(self):
+        """Each entry's epsilon is bitwise the radius adv_nll_loss applies to
+        that word as a target."""
+        params = init_params(LMConfig(vocab_size=40, embed_dim=6, init_range=0.5), 2)
+        W = params.embedding.values
+        probes = [("random", np.random.default_rng(15).normal(size=(400, 6)))]
+        for adv in (AdvConfig("fixed", 0.05), AdvConfig("adaptive", 0.3)):
+            entries = diversity_report(W, adv, probes).recognized_words
+            assert len(entries) > 5
+            ids = np.array([e["word_id"] for e in entries])
+            batch = adv_nll_loss(params, Tensor(np.ones((len(ids), 6))),
+                                 ids[:, None], adv)
+            np.testing.assert_array_equal([e["epsilon"] for e in entries],
+                                          batch.epsilons)
 
 
 class TestContextProbes:

@@ -102,9 +102,12 @@ class TestSeedResolution:
         assert resolve_seed(None) == 0
 
     def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("ADVLM_SEED", "lots")
-        with pytest.raises(ConfigError, match="ADVLM_SEED"):
-            resolve_seed(None)
+        for env in ("lots", "-3"):
+            monkeypatch.setenv("ADVLM_SEED", env)
+            with pytest.raises(ConfigError, match="ADVLM_SEED"):
+                resolve_seed(None)
+        with pytest.raises(ConfigError, match="seed"):
+            resolve_seed(-4)
 
 
 class TestHelp:
@@ -192,6 +195,45 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "not UTF-8" in err and "Traceback" not in err
 
+    def test_hostile_values_exit_2(self, trained_run, tmp_path, monkeypatch,
+                                   capsys):
+        corpus = tmp_path / "c.txt"
+        make_corpus(corpus, num_lines=10)
+        neg_seed = tmp_path / "neg.cfg"
+        neg_seed.write_text("seed = -4\n", encoding="utf-8")
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes("# caf\u00e9\nepochs = 1\n".encode("latin-1"))
+        # small enough to train, so each case fails only on its hostile value
+        train = ["train", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                 "--embed-dim", "8", "--batch-size", "2", "--bptt-len", "4",
+                 "--epochs", "1"]
+        analyze = ["analyze", "--checkpoint", str(trained_run["out"] / "model.bin"),
+                   "--out", str(tmp_path / "a"), "--num-random", "5"]
+        cases = [(train + ["--seed", "-4"], None),
+                 (train + ["--config", str(neg_seed)], None),
+                 (train, "-3"), (analyze + ["--seed", "-4"], None),
+                 (analyze, "-3"), (analyze + ["--num-random", "-1"], None),
+                 (["verify", "--seed", "-4"], None),
+                 (["verify", "--scale", "nan"], None),
+                 (["verify", "--scale", "inf"], None),
+                 (["verify"], "-3"),
+                 (train + ["--init-range", "inf"], None),
+                 (train + ["--init-range", "nan"], None),
+                 (train + ["--learning-rate", "inf"], None),
+                 (train + ["--learning-rate", "nan"], None),
+                 (train + ["--input-noise-start", "inf"], None),
+                 (train + ["--grad-clip", "nan"], None),
+                 (train + ["--config", str(latin1)], None)]
+        for argv, env in cases:
+            if env is None:
+                monkeypatch.delenv("ADVLM_SEED", raising=False)
+            else:
+                monkeypatch.setenv("ADVLM_SEED", env)
+            assert main(argv) == 2, (argv, env)
+            err = capsys.readouterr().err
+            assert "error:" in err and "Traceback" not in err, (argv, env)
+        assert not (tmp_path / "o").exists()
+
     def test_bad_adv_spec(self, tmp_path):
         corpus = tmp_path / "c.txt"
         make_corpus(corpus, num_lines=10)
@@ -255,7 +297,7 @@ class TestEvalCommand:
 
     def test_matches_final_logged_valid_ppl(self, trained_run, capsys):
         out = trained_run["out"]
-        logged = TrainLog.load(str(out / "log.csv")).final_valid_ppl
+        logged = TrainLog.load(str(out / "log.csv")).rows[-1].valid_ppl
         params = load_checkpoint(str(out / "model.bin"))
         vocab = Vocab.load(str(out / "vocab.tsv"))
         _, tail = split_tokens(read_tokens(str(trained_run["corpus"])))

@@ -41,8 +41,9 @@ class TestConfig:
     def test_invalid_rejected(self):
         with pytest.raises(ConfigError):
             LMConfig(vocab_size=0, embed_dim=4)
-        with pytest.raises(ConfigError):
-            LMConfig(vocab_size=4, embed_dim=4, init_range=-0.1)
+        for bad in (-0.1, float("inf"), float("nan")):
+            with pytest.raises(ConfigError):
+                LMConfig(vocab_size=4, embed_dim=4, init_range=bad)
 
 
 class TestInit:

@@ -44,6 +44,11 @@ class TestTrainConfig:
             TrainConfig(epochs=1, input_noise_start=0.1, input_noise_end=0.2)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=1, eval_interval=0)
+        for bad in (dict(seed=-4), dict(learning_rate=math.inf),
+                    dict(learning_rate=math.nan), dict(grad_clip=math.nan),
+                    dict(input_noise_start=math.inf)):
+            with pytest.raises(ConfigError):
+                TrainConfig(epochs=1, **bad)
 
 
 class TestNoiseSchedule:
@@ -290,7 +295,6 @@ class TestTrainLog:
         flags = [math.isnan(r.valid_ppl) for r in log.rows]
         # epochs 0 and 3 evaluated on schedule, 4 because it is last
         assert flags == [False, True, True, False, False]
-        assert log.final_valid_ppl == log.rows[-1].valid_ppl
 
     def test_header_mismatch_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
