@@ -17,7 +17,8 @@ from .corpus import write_text_atomic
 from .errors import ConfigError, NumericError, ShapeError
 
 BOUND_SLACK = 1e-12
-# Elements in one row block x V temporary of nearest_neighbor_distances.
+# Elements in one row block x V temporary, of nearest_neighbor_distances
+# (Gram rows) and of _recognized_per_probe (probe logits).
 NN_BLOCK_ELEMS = 2 ** 18
 
 
@@ -110,13 +111,22 @@ def is_recognizable(i: int, W: np.ndarray, h: np.ndarray, eps: float) -> bool:
 
 def _recognized_per_probe(W: np.ndarray, H: np.ndarray, eps_per_word: np.ndarray):
     """For each probe row of H, the recognized word id or -1. Only the strict
-    argmax can dominate, so one candidate per probe suffices."""
-    z = H @ W.T
-    n = np.arange(H.shape[0])
-    best = z.argmax(axis=1)
-    top = z[n, best]
-    z[n, best] = -np.inf  # z is ours: the row max is now the runner-up
-    second = z.max(axis=1)
+    argmax can dominate, so one candidate per probe suffices. The probes go
+    in row blocks, so one block x V array of logits is held at a time."""
+    n = H.shape[0]
+    best = np.empty(n, dtype=np.intp)
+    top = np.empty(n)
+    second = np.empty(n)
+    block = max(1, NN_BLOCK_ELEMS // W.shape[0])
+    for lo in range(0, n, block):
+        z = H[lo:lo + block] @ W.T
+        r = np.arange(z.shape[0])
+        b = z.argmax(axis=1)
+        best[lo:lo + block] = b
+        top[lo:lo + block] = z[r, b]
+        z[r, b] = -np.inf  # z is ours: the row max is now the runner-up
+        second[lo:lo + block] = z.max(axis=1)
+        del z  # before the next block's product is allocated
     hnorm = np.linalg.norm(H, axis=1)
     ok = top - eps_per_word[best] * hnorm > second
     return np.where(ok, best, -1)

@@ -78,8 +78,11 @@ class Tape:
         """Accumulate d(loss)/d(leaf) into .grad of every recorded leaf, i.e.
         every requires_grad input that no record on this tape produced.
 
-        Each call runs one full reverse pass and adds its result into .grad,
-        so repeated calls without clearing grads accumulate.
+        Each call runs one full reverse pass and adds its result into .grad.
+        Repeated calls without clearing grads accumulate only when every
+        recorded op keeps its inputs (sum_all, add, mul, ...); nll_rows
+        consumes its softmax buffer, so a second pass through it raises
+        RuntimeError.
         """
         if loss.values.shape != ():
             raise ShapeError(
@@ -264,6 +267,8 @@ def nll_rows(h: Tensor, w: Tensor, targets, shift) -> Tensor:
     out[r] = logsumexp(z[r]) - z[r, targets[r]] where z = h @ w.T and
     z[r, targets[r]] -= shift[r]. No gradient flows through shift. Backward:
     with q = softmax(z) - onehot(targets), dh = q @ w and dw = q.T @ h.
+    The backward forms q in the forward's buffer, so it runs once: a second
+    backward through the same op raises RuntimeError.
     """
     hv, wv = h.values, w.values
     if hv.ndim != 2 or wv.ndim != 2 or hv.shape[1] != wv.shape[1] or wv.shape[0] < 1:
@@ -291,9 +296,14 @@ def nll_rows(h: Tensor, w: Tensor, targets, shift) -> Tensor:
     e = np.exp(z, out=z)
     s = e.sum(axis=1, keepdims=True)
     out = (m + np.log(s)).reshape(-1) - picked
+    held = [e]  # _back's only reference to the N x V buffer
 
     def _back(g):
-        q = e / s  # the softmax, formed only when a backward pass needs it
+        if not held:
+            raise RuntimeError("nll_rows: backward already consumed this op's "
+                               "softmax buffer")
+        q = held.pop()
+        q /= s  # in place: the head never holds a second N x V array
         q *= g[:, None]
         q[rows, targets] -= g
         return (q @ wv, q.T @ hv)

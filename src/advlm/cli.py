@@ -294,6 +294,10 @@ def main(argv=None) -> int:
     except (ConfigError, CorpusError, EvaluationError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: the requested sizes do not fit in memory: {exc}",
+              file=sys.stderr)
+        return 2
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

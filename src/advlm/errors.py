@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
 The CLI maps these to exit codes: ConfigError/CorpusError/EvaluationError -> 2,
-NumericError -> 3, CheckpointError -> 4.
+NumericError -> 3, CheckpointError -> 4. A MemoryError (sizes the machine
+cannot hold) also exits 2.
 """
 
 

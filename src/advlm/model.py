@@ -43,6 +43,11 @@ class LMConfig:
         if not 0 <= self.init_range < math.inf:
             raise ConfigError(
                 f"init_range must be finite and non-negative, got {self.init_range}")
+        if _checkpoint_bytes(self) > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"vocab_size {self.vocab_size}, embed_dim {self.embed_dim}, "
+                f"hidden_dim {self.hidden_dim}, num_layers {self.num_layers}: "
+                f"the parameters do not fit in an address space")
 
     @property
     def layer_sizes(self) -> list[int]:

@@ -100,10 +100,15 @@ class TrainLog:
             header = fh.readline().strip()
             if header != LOG_HEADER:
                 raise ConfigError(f"{path}: unexpected log header {header!r}")
-            for line in fh:
-                e, tp, vp, w, n, m = line.strip().split(",")
-                log.rows.append(LogRow(int(e), float(tp), float(vp), float(w),
-                                       float(n), float(m)))
+            for lineno, line in enumerate(fh, 2):
+                try:
+                    e, tp, vp, w, n, m = line.strip().split(",")
+                    row = LogRow(int(e), float(tp), float(vp), float(w),
+                                 float(n), float(m))
+                except ValueError:
+                    raise ConfigError(f"{path} line {lineno}: expected six "
+                                      f"numbers, got {line.strip()!r}") from None
+                log.rows.append(row)
         return log
 
 

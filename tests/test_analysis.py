@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ class TestRecognizable:
             hits += expect
         assert 0 < hits < 300  # sweep exercised both outcomes
 
+    def test_per_probe_holds_one_block_of_logits(self):
+        n, V, d = 1000, 2048, 8
+        rng = np.random.default_rng(9)
+        W, H = rng.normal(size=(V, d)), rng.normal(size=(n, d))
+        eps_vec = np.full(V, 0.1)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            got = _recognized_per_probe(W, H, eps_vec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * V * 8 / 4
+        np.testing.assert_array_equal(got, _sorted_winners(W, H, eps_vec))
+
 
 def _separation_holds(report):
     """The theorem on a report: every recognized word sits further than its
@@ -228,6 +243,22 @@ class TestSeparationTheorem:
             eps_vec = eps * rng.uniform(0.0, 1.0, V)
             np.testing.assert_array_equal(_recognized_per_probe(W, probes, eps_vec),
                                           _sorted_winners(W, probes, eps_vec))
+        # more probes than one block of logits holds, with a duplicated top
+        # word, zero and NaN probes on both sides of the first block edge
+        V, d = 600, 4
+        edge = NN_BLOCK_ELEMS // V
+        W = rng.normal(size=(V, d))
+        W[0] *= 10.0
+        W[2] = W[0]
+        probes = rng.normal(size=(2 * edge + 7, d))
+        probes[edge - 3:edge + 3] = [W[0], np.zeros(d), np.full(d, np.nan),
+                                     np.full(d, np.nan), np.zeros(d), W[0]]
+        probes[edge - 4, 0] = probes[edge + 3, 1] = np.nan
+        eps_vec = rng.uniform(0.0, 0.5, V)
+        got = _recognized_per_probe(W, probes, eps_vec)
+        np.testing.assert_array_equal(got, _sorted_winners(W, probes, eps_vec))
+        assert (got[edge - 4:edge + 4] == -1).all()
+        assert (got >= 0).any()
 
 
 class TestEnergyPhi:

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -201,6 +202,7 @@ class TestBackward:
                 tape.backward(y)
 
     def test_repeated_backward_accumulates(self):
+        # holds for ops that keep their inputs; nll_rows is single-use
         x = ad.Tensor([1.0, 1.0], requires_grad=True)
         with ad.Tape() as tape:
             loss = ad.sum_all(x)
@@ -372,6 +374,34 @@ class TestNllRows:
                                    rtol=0, atol=1e-12)
         # shift is a constant: the op's gradient is its closed form
         _check_grads(lambda a, b: ad.nll_rows(a, b, y, shift), [h, w])
+
+    def test_second_backward_raises(self):
+        # the backward normalises the forward's buffer in place, so the op
+        # runs backward once; a second pass must not reuse the consumed buffer
+        h = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        w = ad.Tensor(np.eye(4, 3), requires_grad=True)
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.nll_rows(h, w, [1, 3], [0.5, 0.0]))
+        tape.backward(loss)
+        with pytest.raises(RuntimeError):
+            tape.backward(loss)
+
+    def test_peak_memory_is_one_logit_matrix(self):
+        n, V, d = 512, 4096, 8
+        rng = np.random.default_rng(12)
+        h = ad.Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(V, d)), requires_grad=True)
+        y, shift = rng.integers(0, V, size=n), rng.uniform(0, 1, n)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            with ad.Tape() as tape:
+                loss = ad.sum_all(ad.nll_rows(h, w, y, shift))
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.grad is not None
+        assert peak < 1.5 * n * V * 8
 
 
 class TestRandomSweep:

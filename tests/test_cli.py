@@ -223,7 +223,9 @@ class TestTrainCommand:
                  (train + ["--learning-rate", "nan"], None),
                  (train + ["--input-noise-start", "inf"], None),
                  (train + ["--grad-clip", "nan"], None),
-                 (train + ["--config", str(latin1)], None)]
+                 (train + ["--config", str(latin1)], None),
+                 # parameters past the address space: rejected before any write
+                 (train + ["--embed-dim", str(2 ** 62)], None)]
         for argv, env in cases:
             if env is None:
                 monkeypatch.delenv("ADVLM_SEED", raising=False)
@@ -233,6 +235,20 @@ class TestTrainCommand:
             err = capsys.readouterr().err
             assert "error:" in err and "Traceback" not in err, (argv, env)
         assert not (tmp_path / "o").exists()
+
+    def test_memory_error_exits_2(self, trained_run, tmp_path, monkeypatch,
+                                  capsys):
+        # a size the machine cannot hold fails in numpy with MemoryError;
+        # raised here without allocating, since overcommit might grant it
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 1.7 TiB")
+
+        monkeypatch.setattr("advlm.cli.random_probes", no_memory)
+        argv = ["analyze", "--checkpoint", str(trained_run["out"] / "model.bin"),
+                "--out", str(tmp_path / "a"), "--num-random", "100000000000"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_bad_adv_spec(self, tmp_path):
         corpus = tmp_path / "c.txt"

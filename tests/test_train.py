@@ -14,6 +14,7 @@ from advlm.corpus import batchify
 from advlm.errors import ConfigError, EvaluationError, NumericError
 from advlm.model import LMConfig, init_params
 from advlm.train import (
+    LOG_HEADER,
     TrainConfig,
     TrainLog,
     evaluate,
@@ -297,7 +298,11 @@ class TestTrainLog:
         assert flags == [False, True, True, False, False]
 
     def test_header_mismatch_rejected(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("epoch,stuff\n", encoding="utf-8")
-        with pytest.raises(ConfigError):
-            TrainLog.load(str(p))
+        bad = ["epoch,stuff\n",
+               LOG_HEADER + "\n0,1.5,2.5\n",  # too few fields
+               LOG_HEADER + "\n0,1.5,2.5,0.1,0.0,x\n"]  # not a number
+        for k, text in enumerate(bad):
+            p = tmp_path / f"bad{k}.csv"
+            p.write_text(text, encoding="utf-8")
+            with pytest.raises(ConfigError):
+                TrainLog.load(str(p))
