@@ -17,54 +17,55 @@ from .corpus import write_text_atomic
 from .errors import ConfigError, NumericError, ShapeError
 
 BOUND_SLACK = 1e-12
-# Elements in one row block x V temporary, of nearest_neighbor_distances
-# (Gram rows) and of _recognized_per_probe (probe logits).
+# Elements in one row block x V temporary: nearest_neighbor_distances holds
+# 9 bytes per element (float64 Gram rows, bool mask), _recognized_per_probe 8
+# (float64 probe logits).
 NN_BLOCK_ELEMS = 2 ** 18
 
 
 def nearest_neighbor_distances(W: np.ndarray) -> np.ndarray:
     """out[i] = min over j != i of ||w_i - w_j||.
 
-    Each block of rows picks its candidates from the Gram form
-    ||w_i||^2 + ||w_j||^2 - 2 w_i.w_j (one BLAS product), keeping every j
-    within a rounding-error margin of the row minimum, then recomputes the
-    candidates as ((W[j] - W[i])**2).sum(), so the result equals a row-by-row
-    scan bit for bit, duplicate rows included.
-    """
+    Each block of rows picks candidates from the Gram form (one BLAS product)
+    and rechecks them as ((W[j] - W[i])**2).sum(), so the result is the row
+    scan's bit for bit. With sq = ||w||^2, j is a candidate unless
+    sq_i + sq_j - 2 w_i.w_j - m_ij > min_k (sq_i + sq_k - 2 w_i.w_k + m_ik) for
+    a rounding margin m_ij = c_i + c_j split into a row and a column share,
+    c = tol*(sq + tiny). sq_i cancels: with u_ij = sq_j + c_j - 2 w_i.w_j (inf
+    at j = i), j is dropped when u_ij - 2 c_j > min_k u_ik + 2 c_i. The row
+    minimum is never dropped, so a row's sole candidate is its nearest one."""
     W = np.ascontiguousarray(W, dtype=np.float64)
     V, d = W.shape
     if V < 2:
         raise ShapeError(f"need at least 2 rows, got {V}")
     sq = (W * W).sum(axis=1)
     fp = np.finfo(np.float64)
-    # Bounds the Gram form's error plus the recheck's error, with room to spare.
-    tol = 4.0 * (d + 2) * fp.eps
+    # tol = 4(d+2)eps bounds both forms' rounding with room to spare; tiny
+    # covers squares that underflow to subnormals.
+    c = 4.0 * (d + 2) * fp.eps * (sq + fp.tiny)
+    col, c2 = sq + c, 2.0 * c
     out = np.empty(V)
     block = max(1, NN_BLOCK_ELEMS // V)
     for lo in range(0, V, block):
         hi = min(lo + block, V)
         rows = np.arange(hi - lo)
-        gram = W[lo:hi] @ W.T
-        gram *= -2.0
-        gram += sq
-        gram += sq[lo:hi, None]
-        gram[rows, rows + lo] = np.inf
-        margin = sq[lo:hi, None] + sq
-        margin += fp.tiny  # covers underflow to subnormals
-        margin *= tol
-        upper = (gram + margin).min(axis=1)
-        gram -= margin
-        # Negated so that a NaN row keeps every j and rechecks to NaN, as the
-        # scan would; every row keeps at least one j != i.
-        keep = ~(gram > upper[:, None])
-        keep[rows, rows + lo] = False
-        single = keep.sum(axis=1) == 1
-        nearest = keep[single].argmax(axis=1)
+        u = W[lo:hi] @ W.T
+        u *= -2.0
+        u += col
+        u[rows, rows + lo] = np.inf
+        thr = u.min(axis=1) + c2[lo:hi]
+        u -= c2
+        # NaN compares False: a NaN row keeps every j and rechecks to NaN.
+        far = u > thr[:, None]
+        far[rows, rows + lo] = True
+        single = far.sum(axis=1) == V - 1
+        nearest = (~far[single]).argmax(axis=1)
         diff = W[nearest] - W[lo:hi][single]
         out[lo:hi][single] = np.sqrt((diff ** 2).sum(axis=1))
         for r in np.flatnonzero(~single):
-            cand = np.flatnonzero(keep[r])
+            cand = np.flatnonzero(~far[r])
             out[lo + r] = math.sqrt(((W[cand] - W[lo + r]) ** 2).sum(axis=1).min())
+        del u, far  # before the next block's product is allocated
     return out
 
 
@@ -197,8 +198,8 @@ def diversity_report(W: np.ndarray, adv: AdvConfig,
     """Full diagnostics over labeled probe batches, e.g. [("train", H),
     ("random", R)]. One recognized-word entry per (word, probe source)."""
     W = np.asarray(W, dtype=np.float64)
+    sv = singular_values(W)  # first: it rejects a non-finite W at once
     nn = nearest_neighbor_distances(W)
-    sv = singular_values(W)
     eps_vec = epsilons(adv, W)
     seen = set()
     entries = []

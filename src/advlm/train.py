@@ -97,18 +97,22 @@ class TrainLog:
     def load(cls, path: str) -> "TrainLog":
         log = cls()
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != LOG_HEADER:
-                raise ConfigError(f"{path}: unexpected log header {header!r}")
-            for lineno, line in enumerate(fh, 2):
-                try:
-                    e, tp, vp, w, n, m = line.strip().split(",")
-                    row = LogRow(int(e), float(tp), float(vp), float(w),
-                                 float(n), float(m))
-                except ValueError:
-                    raise ConfigError(f"{path} line {lineno}: expected six "
-                                      f"numbers, got {line.strip()!r}") from None
-                log.rows.append(row)
+            try:
+                header = fh.readline().strip()
+                lines = fh.readlines()
+            except UnicodeDecodeError as e:
+                raise ConfigError(f"log {path} is not UTF-8: {e}")
+        if header != LOG_HEADER:
+            raise ConfigError(f"{path}: unexpected log header {header!r}")
+        for lineno, line in enumerate(lines, 2):
+            try:
+                e, tp, vp, w, n, m = line.strip().split(",")
+                row = LogRow(int(e), float(tp), float(vp), float(w),
+                             float(n), float(m))
+            except ValueError:
+                raise ConfigError(f"{path} line {lineno}: expected six "
+                                  f"numbers, got {line.strip()!r}") from None
+            log.rows.append(row)
         return log
 
 

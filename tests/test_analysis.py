@@ -84,6 +84,54 @@ class TestNearestNeighbor:
         for M in (W, W + 1e3, W * 1e-157, lattice):
             np.testing.assert_array_equal(nearest_neighbor_distances(M), _row_scan(M))
 
+    def test_hostile_sweep(self):
+        # A pair whose squares and dot product overflow, a pair at the top of
+        # the float64 range, an inf row; then small matrices mixing lattices
+        # full of ties, duplicated halves, subnormal squares, large offsets,
+        # NaN rows, +-inf entries and rows of +-1e308.
+        rng = np.random.default_rng(11)
+        cases = [np.array([[1e200, 0.0], [-1e200, 0.0]]),
+                 np.array([[1e308, 1e308], [-1e308, 1e308]]),
+                 np.array([[1.0, 2.0], [np.inf, np.inf], [0.5, -1.0]])]
+        for _ in range(600):
+            V, d = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+            if rng.random() < 0.25:
+                W = rng.integers(-1, 2, size=(V, d)) * 0.5
+            else:
+                W = rng.normal(size=(V, d))
+            if rng.random() < 0.3:
+                W[V // 2:] = W[:V - V // 2]
+            scale = rng.random()
+            if scale < 0.2:
+                W *= 1e-160
+            elif scale < 0.4:
+                W += 10.0 ** int(rng.integers(1, 17))
+            k = rng.integers(V, size=3)
+            if rng.random() < 0.15:
+                W[k[0]] = np.nan
+            if rng.random() < 0.25:
+                W[k[1], rng.integers(d)] = rng.choice([np.inf, -np.inf])
+            if rng.random() < 0.25:
+                W[k[2]] = rng.choice([1e308, -1e308], size=d)
+            cases.append(W)
+        with np.errstate(all="ignore"):
+            for W in cases:
+                np.testing.assert_array_equal(nearest_neighbor_distances(W),
+                                              _row_scan(W))
+
+    def test_holds_one_block(self):
+        V = 3000
+        W = np.random.default_rng(12).normal(size=(V, 8))
+        block_elems = (NN_BLOCK_ELEMS // V) * V
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            got = nearest_neighbor_distances(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * block_elems
+        np.testing.assert_array_equal(got, _row_scan(W))
+
     def test_single_row_rejected(self):
         with pytest.raises(ShapeError):
             nearest_neighbor_distances(np.ones((1, 3)))
@@ -387,6 +435,18 @@ class TestDiversityReport:
                              "sv_entropy", "recognized_words"}
         assert data["sv_entropy"] == pytest.approx(rep.sv_entropy)
         assert len(data["nn_distances"]) == 8
+
+    def test_non_finite_rejected_before_distances(self, monkeypatch):
+        # A NaN makes every row keep every candidate, so the distances would
+        # take V row rechecks before the spectrum rejected the matrix.
+        def unreachable(W):
+            raise AssertionError("distances computed for a non-finite matrix")
+
+        monkeypatch.setattr("advlm.analysis.nearest_neighbor_distances", unreachable)
+        W = np.random.default_rng(16).normal(size=(6, 3))
+        W[2, 1] = np.nan
+        with pytest.raises(NumericError):
+            diversity_report(W, AdvConfig(), [("p", np.ones((2, 3)))])
 
     def test_epsilon_is_the_loss_radius(self):
         """Each entry's epsilon is bitwise the radius adv_nll_loss applies to

@@ -1,0 +1,85 @@
+"""tools/bench.py: summarising and diffing perfbench results, on canned
+results (no benchmark runs here)."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench.py"
+_spec = importlib.util.spec_from_file_location("bench", _PATH)
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+
+def _result(setup, op, rss, figures=None, layers=None):
+    metrics = layers or {"setup_s": setup, "op_s": op, "peak_rss_mb": rss}
+    return {"correct": True, "attempted": 3, "failed": 0,
+            "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()},
+            "figures": figures or {}}
+
+
+def test_spread_median_iqr_values():
+    s = bench.spread([4.0, 1.0, 3.0, 2.0, 5.0])
+    assert s == {"median": 3.0, "iqr": 2.0, "values": [4.0, 1.0, 3.0, 2.0, 5.0]}
+    assert bench.spread([0.7]) == {"median": 0.7, "iqr": 0.0, "values": [0.7]}
+
+
+def test_parse_output_reads_last_line_machine_and_figures():
+    line = {"correct": True, "attempted": 4, "failed": 0,
+            "metrics": {"op_s": {"value": 0.5, "unit": "s"}}}
+    stdout = "\n".join([
+        "perfbench workload=analyze_wide seed=1 seconds=20 trace=0",
+        "machine: nproc=2 git=abc",
+        "  op 1: op_s=0.5000 setup_s=0.3000 peak_rss_mb=80.0",
+        "  setup_s                   0.3 s          lower",
+        "  train_tokens_per_s         n/a targets/s  higher",
+        "  analyze_s                0.61 s          lower",
+        "  op_s                      0.5 s          lower (median of 4 operations)",
+        "  layer analysis.singular_values -> analyze_s on analyze_wide",
+        json.dumps(line)])
+    got = bench.parse_output(stdout)
+    assert got["metrics"] == line["metrics"]
+    assert got["machine"] == "nproc=2 git=abc"
+    assert got["figures"] == {"analyze_s": 0.61}  # gated and n/a ones left out
+    assert bench.is_good(got)
+    assert not bench.is_good({**got, "failed": 1})
+    assert not bench.is_good({**got, "correct": False})
+
+
+def test_summarize_untraced_and_traced():
+    untraced = [_result(0.3, 0.7, 80.0, {"analyze_s": 0.6}),
+                _result(0.5, 0.9, 81.0, {"analyze_s": 0.8}),
+                _result(0.4, 0.8, 79.0, {"analyze_s": 0.7})]
+    traced = [_result(0, 0, 0, layers={"a.self_s": 0.2, "a.calls": 1.0}),
+              _result(0, 0, 0, layers={"a.self_s": 0.4, "a.calls": 1.0})]
+    got = bench.summarize(untraced, traced)
+    assert got["op_s"]["median"] == 0.8
+    assert got["op_s"]["values"] == [0.7, 0.9, 0.8]
+    assert got["peak_rss_mb"]["iqr"] == pytest.approx(1.0)
+    assert got["figures"] == {"analyze_s": 0.7}
+    assert got["per_layer"] == {"a.self_s": pytest.approx(0.3), "a.calls": 1.0}
+    assert "per_layer" not in bench.summarize(untraced, [])
+
+
+def test_diff_against_previous_file():
+    prev = {"workloads": {
+        "desk": bench.summarize([_result(1.0, 2.0, 40.0)], []),
+        "gone": bench.summarize([_result(1.0, 1.0, 1.0)], [])}}
+    cur = {"workloads": {
+        "desk": bench.summarize([_result(1.0, 1.5, 44.0, {"analyze_s": 1.0})], []),
+        "new": bench.summarize([_result(1.0, 1.0, 1.0)], [])}}
+    got = bench.diff(prev, cur)
+    assert set(got) == {"desk"}
+    assert got["desk"]["op_s"] == {"before": 2.0, "after": 1.5, "change": -0.25}
+    assert got["desk"]["peak_rss_mb"]["change"] == pytest.approx(0.1)
+    assert "figures.analyze_s" not in got["desk"]  # only in the new file
+
+
+def test_bench_paths_number_after_the_latest(tmp_path):
+    assert bench.bench_paths(str(tmp_path)) == (str(tmp_path / "BENCH_1.json"), None)
+    for name in ("BENCH_1.json", "BENCH_3.json", "BENCH_x.json", "BENCH_2.json.bak"):
+        (tmp_path / name).write_text("{}")
+    assert bench.bench_paths(str(tmp_path)) == (str(tmp_path / "BENCH_4.json"),
+                                                str(tmp_path / "BENCH_3.json"))

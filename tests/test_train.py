@@ -300,9 +300,10 @@ class TestTrainLog:
     def test_header_mismatch_rejected(self, tmp_path):
         bad = ["epoch,stuff\n",
                LOG_HEADER + "\n0,1.5,2.5\n",  # too few fields
-               LOG_HEADER + "\n0,1.5,2.5,0.1,0.0,x\n"]  # not a number
+               LOG_HEADER + "\n0,1.5,2.5,0.1,0.0,x\n",  # not a number
+               LOG_HEADER + "\n0,1.5,2.5,0.1,0.0,0.1\xe9\n"]  # written as latin-1
         for k, text in enumerate(bad):
             p = tmp_path / f"bad{k}.csv"
-            p.write_text(text, encoding="utf-8")
+            p.write_bytes(text.encode("latin-1"))
             with pytest.raises(ConfigError):
                 TrainLog.load(str(p))
