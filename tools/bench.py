@@ -28,6 +28,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
+SEEDS = 3
 GATED = ("setup_s", "op_s", "peak_rss_mb")
 FIGURES = ("train_tokens_per_s", "eval_tokens_per_s", "analyze_s", "ab_wall_s",
            "valid_ppl")
@@ -149,16 +150,13 @@ def time_tier1() -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="write BENCH_<n>.json from perfbench")
-    ap.add_argument("--seeds", type=int, default=3, help="seeds 1..SEEDS per workload")
     ap.add_argument("--quick", action="store_true",
                     help="1 seed, 5 s, untraced; print the summary, write no file")
     ap.add_argument("--tier1", action="store_true", help="also time the Tier-1 tests")
     args = ap.parse_args(argv)
-    if args.seeds < 1:
-        ap.error("--seeds must be at least 1")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)
-    seeds = 1 if args.quick else args.seeds
+    seeds = 1 if args.quick else SEEDS
     seconds = 5.0 if args.quick else declared["run_seconds"]
     traces = (0,) if args.quick else (0, 1)
 
@@ -190,8 +188,9 @@ def main(argv=None) -> int:
     if args.quick:
         sys.stdout.write(text)
         return 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
         fh.write(text)
+    os.replace(path + ".tmp", path)
     print(f"wrote {path}", file=sys.stderr)
     return 0
 
