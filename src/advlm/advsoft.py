@@ -92,16 +92,11 @@ def _check_index(i: int, V: int) -> None:
 
 def advsoft_prob(i: int, W: np.ndarray, h: np.ndarray, eps: float) -> float:
     """Softmax probability of word i after the worst-case target perturbation:
-    exp(w_i.h - eps||h||) / (exp(w_i.h - eps||h||) + sum_{j!=i} exp(w_j.h))."""
-    W = np.asarray(W, dtype=np.float64)
+    exp(w_i.h - eps||h||) / (exp(w_i.h - eps||h||) + sum_{j!=i} exp(w_j.h)),
+    from the head the training loss runs (nll_rows on one context row)."""
     h = np.asarray(h, dtype=np.float64)
-    V = W.shape[0]
-    _check_index(i, V)
-    if V == 1:
-        return 1.0
-    logits = W @ h
-    logits[i] -= eps * np.linalg.norm(h)
-    return _prob_of_row(logits, i)
+    nll = ad.nll_rows(Tensor(h[None]), Tensor(W), [i], [eps * np.linalg.norm(h)])
+    return float(np.exp(-nll.values[0]))
 
 
 def brute_force_advsoft(i: int, W: np.ndarray, h: np.ndarray, eps: float,

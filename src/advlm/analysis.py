@@ -99,21 +99,11 @@ def _check_word(i: int, W: np.ndarray) -> np.ndarray:
     return W
 
 
-def is_recognizable(i: int, W: np.ndarray, h: np.ndarray, eps: float) -> bool:
-    """True when w_i strictly dominates every competitor even after its logit
-    is lowered by eps*||h||."""
-    W = _check_word(i, W)
-    h = np.asarray(h, dtype=np.float64)
-    z = W @ h
-    own = z[i] - eps * np.linalg.norm(h)
-    z[i] = -np.inf
-    return bool(own > z.max())
-
-
 def _recognized_per_probe(W: np.ndarray, H: np.ndarray, eps_per_word: np.ndarray):
-    """For each probe row of H, the recognized word id or -1. Only the strict
-    argmax can dominate, so one candidate per probe suffices. The probes go
-    in row blocks, so one block x V array of logits is held at a time."""
+    """For each probe row of H, the recognized word id or -1: the word whose
+    logit, lowered by its eps*||h||, strictly beats every other. Only the
+    strict argmax can dominate, so one candidate per probe suffices. The probes
+    go in row blocks, so one block x V array of logits is held at a time."""
     n = H.shape[0]
     best = np.empty(n, dtype=np.intp)
     top = np.empty(n)

@@ -141,9 +141,6 @@ class BatchStream:
         for lo in range(0, self.num_windows * L, L):
             yield self.data[lo:lo + L], self.data[lo + 1:lo + L + 1]
 
-    def __iter__(self):
-        return self.windows()
-
 
 def batchify(ids, batch_size: int, bptt_len: int) -> BatchStream:
     """Lay out a token-id sequence as a BatchStream."""

@@ -109,6 +109,8 @@ class TestAdvsoftProb:
             advsoft_prob(2, self.W2, self.h2, 0.1)
         with pytest.raises(IndexError):
             advsoft_prob(-1, self.W2, self.h2, 0.1)
+        with pytest.raises(ShapeError):
+            advsoft_prob(0, self.W2, np.ones(3), 0.1)
 
     def test_eps_zero_reduction_random(self):
         rng = np.random.default_rng(2)

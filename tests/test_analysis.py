@@ -17,7 +17,6 @@ from advlm.analysis import (
     diversity_report,
     energy_phi,
     energy_psi,
-    is_recognizable,
     nearest_neighbor_distances,
     singular_values,
     sv_entropy,
@@ -193,21 +192,27 @@ class TestSvEntropy:
         assert sv_entropy(np.array([1.0, 1.0])) > sv_entropy(np.array([1.0, 0.1]))
 
 
+def _recognized(i, W, h, eps):
+    """Whether one probe h recognizes word i at a radius eps shared by every
+    word, as diversity_report decides it."""
+    return _recognized_per_probe(W, h[None], np.full(len(W), eps))[0] == i
+
+
 class TestRecognizable:
     W = np.array([[2.0, 0.0], [0.0, 1.0]])
     h = np.array([1.0, 0.0])
 
     def test_hand_true(self):
-        assert is_recognizable(0, self.W, self.h, 1.0)
+        assert _recognized(0, self.W, self.h, 1.0)
 
     def test_large_eps_false(self):
-        assert not is_recognizable(0, self.W, self.h, 3.0)
+        assert not _recognized(0, self.W, self.h, 3.0)
 
     def test_eps_zero_is_strict_argmax(self):
-        assert is_recognizable(0, self.W, self.h, 0.0)
-        assert not is_recognizable(1, self.W, self.h, 0.0)
+        assert _recognized(0, self.W, self.h, 0.0)
+        assert not _recognized(1, self.W, self.h, 0.0)
         tied = np.array([[1.0, 0.0], [1.0, 0.0]])
-        assert not is_recognizable(0, tied, self.h, 0.0)
+        assert not _recognized(0, tied, self.h, 0.0)
 
     def test_consistent_with_perturbed_probabilities(self):
         # recognizability iff word i has the largest probability when i's
@@ -226,7 +231,7 @@ class TestRecognizable:
             probs = np.exp(z - m) / np.exp(z - m).sum()
             others = np.delete(probs, i)
             expect = bool(probs[i] > others.max())
-            assert is_recognizable(i, W, h, eps) == expect
+            assert _recognized(i, W, h, eps) == expect
             hits += expect
         assert 0 < hits < 300  # sweep exercised both outcomes
 

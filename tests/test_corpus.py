@@ -111,7 +111,7 @@ class TestBatchify:
     def test_single_window_covers_stream(self):
         ids = np.arange(7)
         bs = batchify(ids, batch_size=1, bptt_len=6)
-        wins = list(bs)
+        wins = list(bs.windows())
         assert len(wins) == 1
         x, y = wins[0]
         np.testing.assert_array_equal(x[:, 0], ids[:-1])
@@ -132,7 +132,7 @@ class TestBatchify:
             if n < 2 * B:
                 continue
             bs = batchify(rng.integers(0, 50, size=n), B, L)
-            emitted = sum(y.size for _, y in bs)
+            emitted = sum(y.size for _, y in bs.windows())
             assert emitted == bs.num_targets == B * L * bs.num_windows
             steps = n // B
             assert bs.num_windows == (steps - 1) // L
@@ -144,10 +144,10 @@ class TestBatchify:
         bs = batchify(ids, B, L)
         steps = 137 // B
         for b in range(B):
-            col = np.concatenate([x[:, b] for x, _ in bs])
+            col = np.concatenate([x[:, b] for x, _ in bs.windows()])
             expect = ids[b * steps:b * steps + len(col)]
             np.testing.assert_array_equal(col, expect)
-            tgt = np.concatenate([y[:, b] for _, y in bs])
+            tgt = np.concatenate([y[:, b] for _, y in bs.windows()])
             np.testing.assert_array_equal(tgt, ids[b * steps + 1:b * steps + 1 + len(tgt)])
 
     def test_zero_batch_or_window_rejected(self):
@@ -162,8 +162,8 @@ class TestBatchify:
 
     def test_rewind_on_reiteration(self):
         bs = batchify(np.arange(20), 2, 3)
-        first = [x.copy() for x, _ in bs]
-        second = [x.copy() for x, _ in bs]
+        first = [x.copy() for x, _ in bs.windows()]
+        second = [x.copy() for x, _ in bs.windows()]
         assert len(first) == len(second)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
@@ -172,7 +172,7 @@ class TestBatchify:
 class TestBatchStreamType:
     def test_window_shapes(self):
         bs = batchify(np.arange(40), 4, 3)
-        for x, y in bs:
+        for x, y in bs.windows():
             assert x.shape == (3, 4) and y.shape == (3, 4)
             assert x.dtype == np.int64
 

@@ -1,10 +1,12 @@
-"""A/B experiment plumbing tests: summaries, orderings, and the data split."""
+"""A/B experiment plumbing tests: summaries, orderings, the data split and
+the end of one run."""
 
 import numpy as np
 import pytest
 
+from advlm import experiment
 from advlm.corpus import read_tokens
-from advlm.errors import ConfigError
+from advlm.errors import ConfigError, NumericError
 from advlm.experiment import (
     ADV_ALPHA,
     BASELINE_ALPHA,
@@ -13,7 +15,9 @@ from advlm.experiment import (
     RunResult,
     bundled_corpus_path,
     load_split,
+    run_one,
 )
+from advlm.train import LogRow, TrainLog
 
 
 def run(alpha, seed, train_ppl, valid_ppl, nn, ent):
@@ -92,11 +96,6 @@ class TestOrderings:
                                 high=[(20.0, 18.0, 3.0, 3.90)] * 3)
         assert result.orderings()["valid_ppl_not_worse"]
 
-    def test_high_alpha_check_only_when_present(self):
-        runs = [run(BASELINE_ALPHA, s, 10.0, 16.0, 3.0, 3.9) for s in (1, 2, 3)]
-        runs += [run(ADV_ALPHA, s, 11.0, 15.5, 3.2, 3.95) for s in (1, 2, 3)]
-        assert "high_alpha_underfits" not in ExperimentResult(runs).orderings()
-
 
 class TestLoadSplit:
     def test_ninety_ten_and_head_vocab(self, tmp_path):
@@ -113,3 +112,19 @@ class TestLoadSplit:
         tokens = read_tokens(bundled_corpus_path())
         assert 50_000 <= len(tokens) <= 60_000
         assert len(set(tokens)) < 500  # every type recurs enough to train
+
+
+class TestRunOne:
+    def test_non_finite_embedding_rejected_before_distances(self, monkeypatch):
+        def diverge(params, train_stream, valid_stream, cfg):
+            params.embedding.values[0, 0] = np.nan
+            return TrainLog([LogRow(1, 10.0, 12.0, 0.0, 0.0, 0.0)])
+
+        def no_distances(W):
+            raise AssertionError("nearest-neighbour distances of a non-finite W")
+
+        monkeypatch.setattr(experiment, "train", diverge)
+        monkeypatch.setattr(experiment, "nearest_neighbor_distances", no_distances)
+        ids = np.arange(40) % 5
+        with pytest.raises(NumericError):
+            run_one(ids, ids, 5, ADV_ALPHA, 1)
