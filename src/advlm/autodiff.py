@@ -1,11 +1,11 @@
 """Minimal dense-tensor reverse-mode autodiff.
 
-Tensors wrap float64 numpy arrays. Operations execute eagerly; when a Tape is
-active (``with Tape():``) and any operand requires gradients, the op is
-recorded so that ``Tape.backward(loss)`` can replay the records in reverse
-and accumulate ``.grad`` on every requires_grad leaf. Without an active tape
-the same functions just compute values, which is how evaluation runs without
-gradient bookkeeping.
+Tensors wrap float64 numpy arrays. Operations execute eagerly; while a Tape
+is active (``with Tape():``) every op is recorded, so that
+``Tape.backward(loss)`` can replay the records in reverse and accumulate
+``.grad`` on every leaf the loss depends on. Without an active tape the same
+functions just compute values, which is how evaluation runs without gradient
+bookkeeping.
 
 The op set is exactly what the LSTM language model and its loss need: an
 embedding lookup, one op per LSTM layer per window, one op for the
@@ -31,11 +31,10 @@ def _active_tape():
 class Tensor:
     """A dense float64 array participating in reverse-mode differentiation."""
 
-    __slots__ = ("values", "requires_grad", "grad")
+    __slots__ = ("values", "grad")
 
-    def __init__(self, values, requires_grad: bool = False):
+    def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         self.grad = None
 
     @property
@@ -49,7 +48,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.values.shape})"
 
 
 class Tape:
@@ -76,7 +75,7 @@ class Tape:
 
     def backward(self, loss: "Tensor") -> None:
         """Accumulate d(loss)/d(leaf) into .grad of every recorded leaf, i.e.
-        every requires_grad input that no record on this tape produced.
+        every op input that no record on this tape produced.
 
         Each call runs one full reverse pass and adds its result into .grad.
         Repeated calls without clearing grads accumulate only when every
@@ -100,8 +99,6 @@ class Tape:
             if g_out is None:
                 continue
             for t, g in zip(inputs, backward_fn(g_out)):
-                if g is None or not t.requires_grad:
-                    continue
                 key = id(t)
                 if key in adjoint:
                     adjoint[key] = adjoint[key] + g
@@ -116,11 +113,10 @@ class Tape:
 
 
 def _record(values: np.ndarray, inputs, backward_fn) -> Tensor:
-    """Wrap an op result; record it if a tape is active and gradients flow."""
-    requires = any(t.requires_grad for t in inputs)
-    out = Tensor(values, requires_grad=requires)
+    """Wrap an op result; record it if a tape is active."""
+    out = Tensor(values)
     tape = _active_tape()
-    if tape is not None and requires:
+    if tape is not None:
         tape.records.append((out, tuple(inputs), backward_fn))
     return out
 

@@ -94,7 +94,7 @@ class HiddenState:
 
 def _build_params(config: LMConfig, arrays) -> LMParams:
     """LMParams from arrays given in _expected_shapes order."""
-    it = (Tensor(a, requires_grad=True) for a in arrays)
+    it = (Tensor(a) for a in arrays)
     embedding = next(it)
     layers = [LayerParams(next(it), next(it), next(it)) for _ in range(config.num_layers)]
     return LMParams(config, embedding, layers)
@@ -212,14 +212,6 @@ def load_checkpoint(path: str) -> LMParams:
             cfg = LMConfig(v, d, h, n, init_range)
         except ConfigError as e:
             raise CheckpointError(f"{path}: invalid config: {e}")
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if _checkpoint_bytes(cfg) > left:
-            # Name the first tensor that runs past the end; the walk stops
-            # within the file's bytes, however many layers the header claims.
-            for name, shape in _expected_shapes(cfg):
-                left -= _tensor_bytes(shape)
-                if left < 0:
-                    raise CheckpointError(f"truncated checkpoint while reading {name}")
         params = _build_params(cfg, (_read_tensor(fh, name, shape)
                                      for name, shape in _expected_shapes(cfg)))
         if fh.read(1):

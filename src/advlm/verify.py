@@ -16,6 +16,7 @@ from . import autodiff as ad
 from .advsoft import (AdvConfig, adv_nll_loss, advsoft_prob, brute_force_advsoft,
                       epsilons)
 from .analysis import (
+    BOUND_SLACK,
     _recognized_per_probe,
     _sigmoid,
     check_energy_bound,
@@ -59,7 +60,6 @@ def _numerical_grad(f, x: np.ndarray) -> np.ndarray:
 
 
 def _rel_error(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.zeros(b.shape) if a is None else a
     num = np.linalg.norm((a - b).ravel())
     return num / max(np.linalg.norm(b.ravel()), 1e-8)
 
@@ -97,7 +97,7 @@ def _fd_check(build, tensors, rng) -> float:
 
 def _op_cases(rng):
     def t(*shape, r=2.0):
-        return Tensor(rng.uniform(-r, r, size=shape), requires_grad=True)
+        return Tensor(rng.uniform(-r, r, size=shape))
 
     n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     a, b = t(n, m), t(n, m)
@@ -139,11 +139,9 @@ def _op_cases(rng):
 
 def verify_gradients(seed: int = 0, instances: int = 100) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    ops = list(_op_cases(rng))
-    per_op = max(1, instances // len(ops))
     worst_op = 0.0
     checked = 0
-    for _ in range(per_op):
+    while checked < instances:  # whole rounds of every op case
         for name, build, tensors in _op_cases(rng):
             err = _fd_check(build, tensors, rng)
             worst_op = max(worst_op, err)
@@ -169,12 +167,7 @@ def verify_gradients(seed: int = 0, instances: int = 100) -> SuiteResult:
             contexts, _ = forward(params, ids, zero_state(cfg, 2))
             return adv_nll_loss(params, contexts, targets, off).total
 
-        with Tape() as tape:
-            tape.backward(model_loss())
-        for t in params.tensors():
-            num = _numerical_grad(lambda: model_loss().item(), t.values)
-            worst_model = max(worst_model, _rel_error(t.grad, num))
-            t.zero_grad()
+        worst_model = max(worst_model, _fd_check(model_loss, params.tensors(), rng))
         checked += 1
         if worst_model >= 1e-3:
             return SuiteResult("gradients", False,
@@ -200,7 +193,7 @@ def _adv_head_error(seed: int) -> float:
     for mode in (AdvConfig("fixed", 0.7), AdvConfig("adaptive", 0.1)):
         params = init_params(LMConfig(vocab_size=6, embed_dim=4, init_range=0.4),
                              seed)
-        H = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        H = Tensor(rng.normal(size=(5, 4)))
         targets = rng.integers(0, 6, size=(5, 1))
         with Tape() as tape:
             batch = adv_nll_loss(params, H, targets, mode)
@@ -323,8 +316,8 @@ def verify_energy_bound(seed: int = 0, instances: int = 10 ** 4) -> SuiteResult:
         if psi > phi + 1e-12:
             return SuiteResult("energy-bound", False,
                                f"psi exceeds phi by {psi - phi:.3g}")
-        _, bound, holds = check_energy_bound(i, W, h, eps)
-        if not holds:
+        bound = _sigmoid(phi)
+        if not p <= bound + BOUND_SLACK:  # a NaN p fails too
             return SuiteResult("energy-bound", False,
                                f"advsoft {p:.6g} exceeds bound {bound:.6g}")
     # tightness: zero context, and the anti-collinear pair
@@ -357,8 +350,8 @@ def verify_uniform_identity(seed: int = 0) -> SuiteResult:
 
 def run_all(seed: int = 0, scale: float = 1.0) -> list[SuiteResult]:
     """Run every suite; scale < 1 shrinks instance counts for smoke runs."""
-    if not math.isfinite(scale):
-        raise ConfigError(f"scale must be finite, got {scale}")
+    if not 0 < scale < math.inf:
+        raise ConfigError(f"scale must be finite and positive, got {scale}")
 
     def n(full):
         return max(1, int(full * scale))

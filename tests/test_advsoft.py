@@ -201,7 +201,7 @@ class TestAdvNllLoss:
     def _setup(self, seed=0, V=5, d=3, L=2, B=2):
         params = init_params(LMConfig(vocab_size=V, embed_dim=d, init_range=0.4), seed)
         rng = np.random.default_rng(seed + 100)
-        H = Tensor(rng.normal(size=(L * B, d)), requires_grad=True)
+        H = Tensor(rng.normal(size=(L * B, d)))
         targets = rng.integers(0, V, size=(L, B))
         return params, H, targets
 

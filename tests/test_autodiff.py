@@ -45,7 +45,7 @@ def _check_grads(op, tensors, tol=OP_TOL):
 def _lstm_args(rng, L, B, I, H, r=0.5, state=True):
     """Leaf tensors (x, w_x, w_h, bias, h0, c0) for lstm_layer."""
     def t(*shape):
-        return ad.Tensor(rng.uniform(-r, r, shape), requires_grad=True)
+        return ad.Tensor(rng.uniform(-r, r, shape))
     h0, c0 = (t(B, H), t(B, H)) if state else (ad.Tensor(np.zeros((B, H))),) * 2
     return t(L * B, I), t(I, 4 * H), t(H, 4 * H), t(4 * H), h0, c0
 
@@ -75,7 +75,7 @@ class TestElementwise:
     def test_tanh_gradient_at_0p3(self):
         # i = 0, f = o = 1 (saturated): c = c0 = 0.3 and h = tanh(0.3), so
         # dh/dc0 is the layer's tanh derivative at 0.3
-        c0 = ad.Tensor([[0.3]], requires_grad=True)
+        c0 = ad.Tensor([[0.3]])
         bias = ad.Tensor([-800.0, 800.0, 0.0, 800.0])
         zeros = ad.Tensor(np.zeros((1, 4)))
 
@@ -127,7 +127,7 @@ class TestLogSumExp:
 
     def test_gradient_is_softmax(self):
         rng = np.random.default_rng(1)
-        x = ad.Tensor(rng.uniform(-2, 2, (3, 8)), requires_grad=True)
+        x = ad.Tensor(rng.uniform(-2, 2, (3, 8)))
         eye = ad.Tensor(np.eye(8))
         targets = [5, 0, 7]
         with ad.Tape() as tape:
@@ -162,7 +162,7 @@ class TestGatherRows:
         np.testing.assert_array_equal(out.values, [[0.0, 0.0, 1.0]])
 
     def test_repeated_ids_accumulate(self):
-        m = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+        m = ad.Tensor(np.zeros((2, 3)))
         with ad.Tape() as tape:
             loss = ad.sum_all(ad.gather_rows(m, [0, 0]))
         tape.backward(loss)
@@ -170,7 +170,7 @@ class TestGatherRows:
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(5)
-        m = ad.Tensor(rng.uniform(-2, 2, (4, 3)), requires_grad=True)
+        m = ad.Tensor(rng.uniform(-2, 2, (4, 3)))
         ids = [3, 1, 1, 0]
         _check_grads(lambda t: ad.gather_rows(t, ids), [m])
 
@@ -181,21 +181,21 @@ class TestGatherRows:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
-        x = ad.Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        x = ad.Tensor([1.0, 2.0, 3.0])
         with ad.Tape() as tape:
             loss = ad.sum_all(x)
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_half_squared_norm_gradient_is_x(self):
-        x = ad.Tensor([1.5, -0.5, 2.0], requires_grad=True)
+        x = ad.Tensor([1.5, -0.5, 2.0])
         with ad.Tape() as tape:
             loss = ad.scale(ad.sum_all(ad.mul(x, x)), 0.5)
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, x.values, rtol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
-        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        x = ad.Tensor([1.0, 2.0])
         with ad.Tape() as tape:
             y = ad.mul(x, x)
             with pytest.raises(ShapeError):
@@ -203,7 +203,7 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         # holds for ops that keep their inputs; nll_rows is single-use
-        x = ad.Tensor([1.0, 1.0], requires_grad=True)
+        x = ad.Tensor([1.0, 1.0])
         with ad.Tape() as tape:
             loss = ad.sum_all(x)
         tape.backward(loss)
@@ -218,7 +218,7 @@ class TestBackward:
             tape.backward(loss)
 
     def test_loss_from_other_tape_rejected(self):
-        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        x = ad.Tensor([1.0, 2.0])
         with ad.Tape() as tape_a:
             loss = ad.sum_all(x)
         with ad.Tape() as tape_b:
@@ -235,7 +235,7 @@ class TestBackward:
         # waiting for the cyclic collector
         gc.disable()
         try:
-            x = ad.Tensor([1.0, 2.0], requires_grad=True)
+            x = ad.Tensor([1.0, 2.0])
             with ad.Tape() as tape:
                 y = ad.scale(x, 3.0)
                 loss = ad.sum_all(ad.mul(y, y))
@@ -254,14 +254,12 @@ class TestBackward:
         rng = np.random.default_rng(6)
         x, w_x, w_h, bias, h0, c0 = _lstm_args(rng, 1, 2, 3, 4)
         params = [w_x, w_h, bias]
-        for t in (x, h0, c0):
-            t.requires_grad = False
         _check_grads(lambda *ps: _lstm_out(x, *ps, h0, c0), params, tol=1e-6)
 
     def test_only_leaves_hold_grad(self):
         rng = np.random.default_rng(3)
         args = _lstm_args(rng, 3, 2, 3, 4)
-        w = ad.Tensor(rng.uniform(-1, 1, (5, 4)), requires_grad=True)
+        w = ad.Tensor(rng.uniform(-1, 1, (5, 4)))
         with ad.Tape() as tape:
             hs = _lstm_out(*args)
             loss = ad.scale(ad.sum_all(_nll(hs, w, [0, 1, 2, 3, 4, 0])), 0.5)
@@ -296,8 +294,9 @@ class TestLstmLayer:
         args = _lstm_args(np.random.default_rng(8), 2, 2, 3, 4)
         with ad.Tape() as tape:
             _, h_last, c_last = ad.lstm_layer(*args)
-        assert not h_last.requires_grad and not c_last.requires_grad
         assert len(tape.records) == 1
+        outs = {id(out) for out, _, _ in tape.records}
+        assert id(h_last) not in outs and id(c_last) not in outs
 
     def test_shape_mismatch(self):
         x, w_x, w_h, bias, h0, c0 = _lstm_args(np.random.default_rng(9), 2, 2, 3, 4)
@@ -330,7 +329,7 @@ class TestSupportOps:
 
     def test_take_per_row(self):
         # w = I: the logits are h itself, and row r's target logit is picked
-        h = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        h = ad.Tensor(np.arange(6.0).reshape(2, 3))
         shift = np.array([0.25, 0.5])
         out = ad.nll_rows(h, ad.Tensor(np.eye(3)), [2, 0], shift).values
         z = h.values.copy()
@@ -349,7 +348,7 @@ class TestSupportOps:
         # the head's log-sum-exp over each row equals the log-sum-exp of that
         # row taken on its own as a vector
         rng = np.random.default_rng(10)
-        m = ad.Tensor(rng.uniform(-3, 3, (4, 6)), requires_grad=True)
+        m = ad.Tensor(rng.uniform(-3, 3, (4, 6)))
         y = [0, 3, 5, 1]
         lse = _nll(m, ad.Tensor(np.eye(6)), y).values + m.values[range(4), y]
         for r in range(4):
@@ -363,8 +362,8 @@ class TestSupportOps:
 class TestNllRows:
     def test_matches_reference(self):
         rng = np.random.default_rng(10)
-        h = ad.Tensor(rng.uniform(-3, 3, (4, 3)), requires_grad=True)
-        w = ad.Tensor(rng.uniform(-3, 3, (6, 3)), requires_grad=True)
+        h = ad.Tensor(rng.uniform(-3, 3, (4, 3)))
+        w = ad.Tensor(rng.uniform(-3, 3, (6, 3)))
         y = np.array([5, 0, 2, 5])
         shift = rng.uniform(0, 2, 4)
         z = h.values @ w.values.T
@@ -378,8 +377,8 @@ class TestNllRows:
     def test_second_backward_raises(self):
         # the backward normalises the forward's buffer in place, so the op
         # runs backward once; a second pass must not reuse the consumed buffer
-        h = ad.Tensor(np.ones((2, 3)), requires_grad=True)
-        w = ad.Tensor(np.eye(4, 3), requires_grad=True)
+        h = ad.Tensor(np.ones((2, 3)))
+        w = ad.Tensor(np.eye(4, 3))
         with ad.Tape() as tape:
             loss = ad.sum_all(ad.nll_rows(h, w, [1, 3], [0.5, 0.0]))
         tape.backward(loss)
@@ -389,8 +388,8 @@ class TestNllRows:
     def test_peak_memory_is_one_logit_matrix(self):
         n, V, d = 512, 4096, 8
         rng = np.random.default_rng(12)
-        h = ad.Tensor(rng.normal(size=(n, d)), requires_grad=True)
-        w = ad.Tensor(rng.normal(size=(V, d)), requires_grad=True)
+        h = ad.Tensor(rng.normal(size=(n, d)))
+        w = ad.Tensor(rng.normal(size=(V, d)))
         y, shift = rng.integers(0, V, size=n), rng.uniform(0, 1, n)
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
@@ -410,19 +409,19 @@ class TestRandomSweep:
     def test_all_ops_random_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            x = ad.Tensor(rng.uniform(-2, 2, rng.integers(1, 8)), requires_grad=True)
+            x = ad.Tensor(rng.uniform(-2, 2, rng.integers(1, 8)))
             _check_grads(lambda t: ad.scale(t, -1.7), [x])
         for op in (ad.add, ad.mul):
             for _ in range(25):
                 shape = tuple(rng.integers(1, 5, size=2))
-                a = ad.Tensor(rng.uniform(-2, 2, shape), requires_grad=True)
-                b = ad.Tensor(rng.uniform(-2, 2, shape), requires_grad=True)
+                a = ad.Tensor(rng.uniform(-2, 2, shape))
+                b = ad.Tensor(rng.uniform(-2, 2, shape))
                 _check_grads(op, [a, b])
         for _ in range(10):
             L, B, I, H = rng.integers(1, 4, size=4)
             _check_grads(_lstm_out, list(_lstm_args(rng, L, B, I, H, r=1.0)))
             n, V, d = rng.integers(1, 5, size=3)
-            h = ad.Tensor(rng.uniform(-2, 2, (n, d)), requires_grad=True)
-            w = ad.Tensor(rng.uniform(-2, 2, (V, d)), requires_grad=True)
+            h = ad.Tensor(rng.uniform(-2, 2, (n, d)))
+            w = ad.Tensor(rng.uniform(-2, 2, (V, d)))
             y, shift = rng.integers(0, V, size=n), rng.uniform(0, 2, n)
             _check_grads(lambda a, b: ad.nll_rows(a, b, y, shift), [h, w])

@@ -216,6 +216,8 @@ class TestTrainCommand:
                  (["verify", "--seed", "-4"], None),
                  (["verify", "--scale", "nan"], None),
                  (["verify", "--scale", "inf"], None),
+                 (["verify", "--scale", "0"], None),
+                 (["verify", "--scale", "-1"], None),
                  (["verify"], "-3"),
                  (train + ["--init-range", "inf"], None),
                  (train + ["--init-range", "nan"], None),

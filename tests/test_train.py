@@ -192,6 +192,31 @@ class TestTrainEpoch:
             with pytest.raises(NumericError, match="window 0"):
                 train_epoch(params, stream, tcfg, 0)
 
+    @pytest.mark.parametrize("layers,noise,records", [
+        (1, 0.0, 5),  # gather_rows, lstm_layer, nll_rows, sum_all, scale
+        (1, 0.2, 6),  # + one add for the input noise
+        (2, 0.0, 6),  # + one lstm_layer for the second layer
+    ])
+    def test_window_tape_records(self, monkeypatch, layers, noise, records):
+        params = init_params(LMConfig(vocab_size=6, embed_dim=5, hidden_dim=4,
+                                      num_layers=layers), 3)
+        seen = []
+
+        class CountingTape(Tape):
+            def backward(self, loss):
+                super().backward(loss)
+                seen.append((len(self.records),
+                             [None if t.grad is None else t.grad.shape
+                              for t in params.tensors()]))
+
+        monkeypatch.setattr(advlm.train, "Tape", CountingTape)
+        stream = batchify(np.random.default_rng(0).integers(0, 6, 80), 2, 5)
+        tcfg = TrainConfig(epochs=1, batch_size=2, bptt_len=5,
+                           input_noise_start=noise, adv=AdvConfig("fixed", 0.4))
+        train_epoch(params, stream, tcfg, 0)
+        shapes = [t.shape for t in params.tensors()]
+        assert seen == [(records, shapes)] * stream.num_windows
+
     def test_each_window_tape_freed_when_next_opens(self, monkeypatch):
         refs = []
         alive_before = []
