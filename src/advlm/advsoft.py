@@ -56,7 +56,8 @@ class AdvConfig:
 
 @dataclass
 class AdvLossBatch:
-    total: Tensor
+    nll: Tensor  # per-row loss, recorded on the open tape
+    total: float  # sum of nll
     count: int
     epsilons: np.ndarray
 
@@ -160,9 +161,9 @@ def brute_force_advsoft(i: int, W: np.ndarray, h: np.ndarray, eps: float,
 
 def adv_nll_loss(params: LMParams, contexts: Tensor, targets: np.ndarray,
                  config: AdvConfig) -> AdvLossBatch:
-    """Total NLL over a window, with each target logit lowered by the
-    detached eps*||h|| offset. targets is [L x B]; contexts rows are the
-    matching time-major positions."""
+    """Per-row NLL over a window and its total, with each target logit
+    lowered by the detached eps*||h|| offset. targets is [L x B]; contexts
+    rows are the matching time-major positions."""
     targets = np.asarray(targets)
     flat = targets.reshape(-1)
     if contexts.shape[0] != flat.size:
@@ -184,4 +185,4 @@ def adv_nll_loss(params: LMParams, contexts: Tensor, targets: np.ndarray,
         raise NumericError(
             f"non-finite loss at window position (t={n // B}, b={n % B})"
         )
-    return AdvLossBatch(ad.sum_all(nll), flat.size, eps)
+    return AdvLossBatch(nll, float(nll.values.sum()), flat.size, eps)

@@ -8,24 +8,19 @@ functions just compute values, which is how evaluation runs without gradient
 bookkeeping.
 
 The op set is exactly what the LSTM language model and its loss need: an
-embedding lookup, one op per LSTM layer per window, one op for the
-softmax head, and a few elementwise helpers. No general broadcasting, no
-higher-order derivatives, CPU float64 only.
+embedding lookup (which also adds the input noise), one op per LSTM layer
+per window, one op for the softmax head, and a weighted sum that turns the
+head's per-row losses into the scalar a backward pass starts from. No
+general broadcasting, no higher-order derivatives, CPU float64 only.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
 from .errors import ShapeError
 
-_state = threading.local()
-
-
-def _active_tape():
-    return getattr(_state, "tape", None)
+_active = None  # the open Tape, if any
 
 
 class Tensor:
@@ -41,12 +36,6 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    def item(self) -> float:
-        return float(self.values)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.values.shape})"
 
@@ -56,21 +45,23 @@ class Tape:
 
     A tape is built per minibatch and discarded after the gradient step.
     Nothing it records points back at it, so dropping the last reference
-    frees it and its closures at once. Tapes do not nest; one tape per
-    thread at a time.
+    frees it and its closures at once. Tapes do not nest: one tape is open
+    at a time.
     """
 
     def __init__(self):
         self.records = []  # (out, inputs, backward_fn), in execution order
 
     def __enter__(self):
-        if _active_tape() is not None:
-            raise RuntimeError("a Tape is already active on this thread")
-        _state.tape = self
+        global _active
+        if _active is not None:
+            raise RuntimeError("a Tape is already active")
+        _active = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _state.tape = None
+        global _active
+        _active = None
         return False
 
     def backward(self, loss: "Tensor") -> None:
@@ -79,9 +70,9 @@ class Tape:
 
         Each call runs one full reverse pass and adds its result into .grad.
         Repeated calls without clearing grads accumulate only when every
-        recorded op keeps its inputs (sum_all, add, mul, ...); nll_rows
-        consumes its softmax buffer, so a second pass through it raises
-        RuntimeError.
+        recorded op keeps its inputs (gather_rows, lstm_layer,
+        weighted_sum); nll_rows consumes its softmax buffer, so a second
+        pass through it raises RuntimeError.
         """
         if loss.values.shape != ():
             raise ShapeError(
@@ -115,45 +106,24 @@ class Tape:
 def _record(values: np.ndarray, inputs, backward_fn) -> Tensor:
     """Wrap an op result; record it if a tape is active."""
     out = Tensor(values)
-    tape = _active_tape()
-    if tape is not None:
-        tape.records.append((out, tuple(inputs), backward_fn))
+    if _active is not None:
+        _active.records.append((out, tuple(inputs), backward_fn))
     return out
 
 
-def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.values.shape != b.values.shape:
-        raise ShapeError(f"{op}: operand shapes {a.values.shape} and {b.values.shape} differ")
+def weighted_sum(t: Tensor, weights) -> Tensor:
+    """sum(t * weights) as a scalar tensor, for a constant weights array of
+    t's shape: the seed a backward pass starts from reaches t as weights."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != t.values.shape:
+        raise ShapeError(f"weighted_sum: weights shape {weights.shape} != "
+                         f"operand shape {t.values.shape}")
+    return _record((t.values * weights).sum(), (t,), lambda g: (g * weights,))
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("add", a, b)
-    return _record(a.values + b.values, (a, b), lambda g: (g, g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("mul", a, b)
-    av, bv = a.values, b.values
-    return _record(av * bv, (a, b), lambda g: (g * bv, g * av))
-
-
-def scale(t: Tensor, c: float) -> Tensor:
-    """Elementwise c * t for a python scalar constant."""
-    return _record(t.values * c, (t,), lambda g: (g * c,))
-
-
-def sum_all(t: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    shape = t.values.shape
-    return _record(
-        np.asarray(t.values.sum(), dtype=np.float64),
-        (t,),
-        lambda g: (np.broadcast_to(g, shape).astype(np.float64),),
-    )
-
-
-def gather_rows(m: Tensor, ids) -> Tensor:
-    """Select rows of a matrix by index; backward scatter-adds into m.
+def gather_rows(m: Tensor, ids, noise=None) -> Tensor:
+    """Select rows of a matrix by index, plus the constant noise array if
+    given; backward scatter-adds into m.
 
     Repeated ids are legal and their upstream gradients accumulate on the
     shared row, which is what an embedding lookup needs.
@@ -172,7 +142,13 @@ def gather_rows(m: Tensor, ids) -> Tensor:
         np.add.at(gm, ids, g)
         return (gm,)
 
-    return _record(m.values[ids], (m,), _back)
+    values = m.values[ids]
+    if noise is not None:
+        if noise.shape != values.shape:
+            raise ShapeError(f"gather_rows: noise shape {noise.shape} != "
+                             f"output shape {values.shape}")
+        values += noise
+    return _record(values, (m,), _back)
 
 
 def lstm_layer(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor,

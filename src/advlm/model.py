@@ -137,10 +137,13 @@ def forward(params: LMParams, input_ids: np.ndarray, state: HiddenState,
     if input_noise_std > 0 and rng is None:
         raise ConfigError("input_noise_std > 0 requires an rng")
 
-    x = ad.gather_rows(params.embedding, input_ids.reshape(-1))
+    ids = input_ids.reshape(-1)
+    noise = None
     if input_noise_std > 0:
         # one draw in row order: the same stream as one [B x d] draw per step
-        x = ad.add(x, Tensor(rng.normal(0.0, input_noise_std, size=x.shape)))
+        noise = rng.normal(0.0, input_noise_std,
+                           size=(ids.size, params.config.embed_dim))
+    x = ad.gather_rows(params.embedding, ids, noise)
     layers = []
     for layer, (h, c) in zip(params.layers, state.layers):
         x, h, c = ad.lstm_layer(x, layer.w_x, layer.w_h, layer.bias, h, c)
@@ -155,12 +158,12 @@ def _write_tensor(fh, arr: np.ndarray) -> None:
     fh.write(arr.tobytes())
 
 
-def _read_exact(fh, n: int, section: str) -> bytes:
+def _read_exact(fh, n: int, section: str) -> bytearray:
     # A size taken from a corrupt header must not become an allocation.
     if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise CheckpointError(f"truncated checkpoint while reading {section}")
-    buf = fh.read(n)
-    if len(buf) != n:
+    buf = bytearray(n)  # read in place: the tensor data is never copied
+    if fh.readinto(buf) != n:
         raise CheckpointError(f"truncated checkpoint while reading {section}")
     return buf
 
@@ -175,7 +178,7 @@ def _read_tensor(fh, name: str, shape: tuple) -> np.ndarray:
     if dims != shape:
         raise CheckpointError(f"tensor {name} has shape {dims}, expected {shape}")
     data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape), name), dtype="<f8")
-    return data.reshape(shape).astype(np.float64)
+    return data.reshape(shape)
 
 
 def save_checkpoint(params: LMParams, path: str) -> None:

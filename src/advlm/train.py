@@ -153,11 +153,12 @@ def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
             with Tape() as tape:
                 contexts, state = forward(params, inputs, state, std, rng)
                 batch = adv_nll_loss(params, contexts, targets, config.adv)
-                tape.backward(ad.scale(batch.total, 1.0 / batch.count))
+                tape.backward(ad.weighted_sum(
+                    batch.nll, np.full(batch.count, 1.0 / batch.count)))
             sgd_step(params, config.learning_rate, config.grad_clip)
         except NumericError as e:
             raise NumericError(f"epoch {epoch}, window {w_idx}: {e}")
-        total_nll += batch.total.item()
+        total_nll += batch.total
         tokens += batch.count
         eps_sum += float(batch.epsilons.sum())
     if tokens == 0:
@@ -175,7 +176,7 @@ def evaluate(params: LMParams, stream: BatchStream) -> float:
     for inputs, targets in stream.windows():
         contexts, state = forward(params, inputs, state)
         batch = adv_nll_loss(params, contexts, targets, off)
-        total += batch.total.item()
+        total += batch.total
         tokens += batch.count
     return math.exp(total / tokens)
 

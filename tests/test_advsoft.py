@@ -11,7 +11,7 @@ from advlm.advsoft import (
     epsilons,
     optimal_perturbation,
 )
-from advlm.autodiff import Tape, Tensor
+from advlm.autodiff import Tape, Tensor, weighted_sum
 from advlm.errors import ConfigError, NumericError, ShapeError
 from advlm.model import LMConfig, init_params
 
@@ -212,7 +212,7 @@ class TestAdvNllLoss:
         m = z.max(axis=1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
         ce = (lse - z[np.arange(4), targets.reshape(-1)]).sum()
-        assert batch.total.item() == ce
+        assert batch.total == ce
         assert batch.count == 4
         assert not batch.epsilons.any()
 
@@ -220,15 +220,15 @@ class TestAdvNllLoss:
         params, H, targets = self._setup(seed=1)
         a = adv_nll_loss(params, H, targets, AdvConfig("off"))
         b = adv_nll_loss(params, H, targets, AdvConfig("fixed", 0.0))
-        assert a.total.item() == b.total.item()
+        assert a.total == b.total
 
     def test_hand_value_single_position(self):
         params, _, _ = self._setup(V=2, d=2)
         params.embedding.values[:] = np.array([[1.0, 0.0], [0.0, 1.0]])
         H = Tensor(np.array([[1.0, 0.0]]))
         batch = adv_nll_loss(params, H, np.array([[0]]), AdvConfig("fixed", 0.5))
-        assert batch.total.item() == pytest.approx(0.474077, abs=1e-6)
-        assert batch.total.item() == pytest.approx(-np.log(0.622459), abs=1e-6)
+        assert batch.total == pytest.approx(0.474077, abs=1e-6)
+        assert batch.total == pytest.approx(-np.log(0.622459), abs=1e-6)
 
     def test_adaptive_epsilons_recorded(self):
         params, H, targets = self._setup(seed=2)
@@ -240,8 +240,8 @@ class TestAdvNllLoss:
 
     def test_adv_loss_exceeds_plain_loss(self):
         params, H, targets = self._setup(seed=3)
-        plain = adv_nll_loss(params, H, targets, AdvConfig("off")).total.item()
-        adv = adv_nll_loss(params, H, targets, AdvConfig("fixed", 0.5)).total.item()
+        plain = adv_nll_loss(params, H, targets, AdvConfig("off")).total
+        adv = adv_nll_loss(params, H, targets, AdvConfig("fixed", 0.5)).total
         assert adv > plain
 
     def test_stop_gradient_matches_constant_offset_oracle(self):
@@ -249,7 +249,7 @@ class TestAdvNllLoss:
         cfg = AdvConfig("fixed", 0.7)
         with Tape() as tape:
             batch = adv_nll_loss(params, H, targets, cfg)
-            tape.backward(batch.total)
+            tape.backward(weighted_sum(batch.nll, np.ones(batch.count)))
         flat = targets.reshape(-1)
         gH, gW = _analytic_grads(params.embedding.values, H.values, flat,
                                  batch.epsilons)
@@ -261,7 +261,7 @@ class TestAdvNllLoss:
         cfg = AdvConfig("adaptive", 0.1)
         with Tape() as tape:
             batch = adv_nll_loss(params, H, targets, cfg)
-            tape.backward(batch.total)
+            tape.backward(weighted_sum(batch.nll, np.ones(batch.count)))
         flat = targets.reshape(-1)
         gH, gW = _analytic_grads(params.embedding.values, H.values, flat,
                                  batch.epsilons)
@@ -273,7 +273,7 @@ class TestAdvNllLoss:
         cfg = AdvConfig("fixed", 0.7)
         with Tape() as tape:
             batch = adv_nll_loss(params, H, targets, cfg)
-            tape.backward(batch.total)
+            tape.backward(weighted_sum(batch.nll, np.ones(batch.count)))
 
         def full_value():
             # recompute with the offset as a live function of H
@@ -292,7 +292,7 @@ class TestAdvNllLoss:
         params, H, targets = self._setup(seed=7)
         with Tape() as tape:
             batch = adv_nll_loss(params, H, targets, AdvConfig("off"))
-            tape.backward(batch.total)
+            tape.backward(weighted_sum(batch.nll, np.ones(batch.count)))
 
         def value():
             z = H.values @ params.embedding.values.T

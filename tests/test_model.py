@@ -1,12 +1,14 @@
 """LSTM language model tests: gate oracle, tying, BPTT window boundaries, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from advlm.advsoft import AdvConfig, adv_nll_loss
-from advlm.autodiff import Tape, Tensor
+from advlm.autodiff import Tape, Tensor, weighted_sum
 from advlm.errors import CheckpointError, ConfigError, ShapeError
 from advlm.model import (
     HiddenState,
@@ -25,7 +27,8 @@ from reference import mle_loss_value as _mle_loss_value
 
 def _mle_loss_taped(params, input_ids, targets):
     contexts, _ = forward(params, input_ids, zero_state(params.config, input_ids.shape[1]))
-    return adv_nll_loss(params, contexts, targets, AdvConfig("off")).total
+    nll = adv_nll_loss(params, contexts, targets, AdvConfig("off")).nll
+    return weighted_sum(nll, np.ones(nll.shape))
 
 
 class TestConfig:
@@ -222,7 +225,7 @@ class TestFullModelGradient:
         with Tape() as tape:
             loss = _mle_loss_taped(params, ids, targets)
             tape.backward(loss)
-        np.testing.assert_allclose(loss.item(), _mle_loss_value(params, ids, targets),
+        np.testing.assert_allclose(float(loss.values), _mle_loss_value(params, ids, targets),
                                    rtol=1e-12)
         for name, t in params.named_tensors():
             num = numerical_grad(lambda: _mle_loss_value(params, ids, targets), t.values)
@@ -256,7 +259,7 @@ class TestDetachState:
             _, state = forward(params, ids1, zero_state(cfg, 2))
             contexts, _ = forward(params, ids2, state)
             batch = adv_nll_loss(params, contexts, targets2, AdvConfig("off"))
-            tape.backward(batch.total)
+            tape.backward(weighted_sum(batch.nll, np.ones(batch.count)))
         grads = {name: t.grad.copy() for name, t in params.named_tensors()}
 
         # constant-injection reference: window 2 only, state values as input
@@ -266,7 +269,7 @@ class TestDetachState:
         with Tape() as tape:
             contexts, _ = forward(ref, ids2, injected)
             batch = adv_nll_loss(ref, contexts, targets2, AdvConfig("off"))
-            tape.backward(batch.total)
+            tape.backward(weighted_sum(batch.nll, np.ones(batch.count)))
         for name, t in ref.named_tensors():
             np.testing.assert_array_equal(grads[name], t.grad, err_msg=name)
 
@@ -312,6 +315,20 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(str(tmp_path / "absent.bin"))
+
+    def test_load_holds_each_tensor_once(self, tmp_path):
+        # the embedding is most of the bytes; a copy made while loading it
+        # would push the peak near twice what the parameters hold
+        p = tmp_path / "model.bin"
+        save_checkpoint(init_params(LMConfig(vocab_size=2000, embed_dim=32), 0), str(p))
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            params = load_checkpoint(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(t.values.nbytes for t in params.tensors())
+        assert peak < 1.2 * held
 
     @settings(derandomize=True, max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

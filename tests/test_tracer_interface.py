@@ -1,0 +1,35 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps Tape.backward from
+outside the program; a training window must still run under its wrappers
+and give the counts the benchmark reports."""
+
+import importlib.util
+import pathlib
+
+import numpy as np
+
+import advlm.train
+from advlm.advsoft import AdvConfig
+from advlm.corpus import batchify
+from advlm.model import LMConfig, init_params
+from advlm.train import TrainConfig
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+_spec = importlib.util.spec_from_file_location("tracing", _PATH)
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+
+def test_traced_training_counts_one_record_per_model_op():
+    params = init_params(LMConfig(vocab_size=6, embed_dim=5), 3)
+    stream = batchify(np.random.default_rng(0).integers(0, 6, 2 * (3 * 5 + 1)), 2, 5)
+    assert stream.num_windows == 3
+    tcfg = TrainConfig(epochs=1, batch_size=2, bptt_len=5,
+                       adv=AdvConfig("adaptive", 0.005))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        advlm.train.train_epoch(params, stream, tcfg, 0)
+    finally:
+        tracer.restore()
+    assert tracer.records_per_backward == [4, 4, 4]
+    assert tracer.leaf_ratios == [1.0, 1.0, 1.0]

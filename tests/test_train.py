@@ -193,9 +193,9 @@ class TestTrainEpoch:
                 train_epoch(params, stream, tcfg, 0)
 
     @pytest.mark.parametrize("layers,noise,records", [
-        (1, 0.0, 5),  # gather_rows, lstm_layer, nll_rows, sum_all, scale
-        (1, 0.2, 6),  # + one add for the input noise
-        (2, 0.0, 6),  # + one lstm_layer for the second layer
+        (1, 0.0, 4),  # gather_rows, lstm_layer, nll_rows, weighted_sum
+        (1, 0.2, 4),  # the input noise is added inside gather_rows
+        (2, 0.0, 5),  # + one lstm_layer for the second layer
     ])
     def test_window_tape_records(self, monkeypatch, layers, noise, records):
         params = init_params(LMConfig(vocab_size=6, embed_dim=5, hidden_dim=4,
