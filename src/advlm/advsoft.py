@@ -56,8 +56,8 @@ class AdvConfig:
 
 @dataclass
 class AdvLossBatch:
-    nll: Tensor  # per-row loss, recorded on the open tape
-    total: float  # sum of nll
+    loss: Tensor  # mean of the per-row losses, recorded on the open tape
+    total: float  # sum of the per-row losses
     count: int
     epsilons: np.ndarray
 
@@ -96,8 +96,9 @@ def advsoft_prob(i: int, W: np.ndarray, h: np.ndarray, eps: float) -> float:
     exp(w_i.h - eps||h||) / (exp(w_i.h - eps||h||) + sum_{j!=i} exp(w_j.h)),
     from the head the training loss runs (nll_rows on one context row)."""
     h = np.asarray(h, dtype=np.float64)
-    nll = ad.nll_rows(Tensor(h[None]), Tensor(W), [i], [eps * np.linalg.norm(h)])
-    return float(np.exp(-nll.values[0]))
+    _, nll = ad.nll_rows(Tensor(h[None]), Tensor(W), [i],
+                         [eps * np.linalg.norm(h)], [1.0])
+    return float(np.exp(-nll[0]))
 
 
 def brute_force_advsoft(i: int, W: np.ndarray, h: np.ndarray, eps: float,
@@ -161,7 +162,7 @@ def brute_force_advsoft(i: int, W: np.ndarray, h: np.ndarray, eps: float,
 
 def adv_nll_loss(params: LMParams, contexts: Tensor, targets: np.ndarray,
                  config: AdvConfig) -> AdvLossBatch:
-    """Per-row NLL over a window and its total, with each target logit
+    """Window-mean NLL and the total over its rows, with each target logit
     lowered by the detached eps*||h|| offset. targets is [L x B]; contexts
     rows are the matching time-major positions."""
     targets = np.asarray(targets)
@@ -177,12 +178,13 @@ def adv_nll_loss(params: LMParams, contexts: Tensor, targets: np.ndarray,
     eps = epsilons(config, params.embedding.values[flat])
     # constant offsets: no gradient through ||h|| or ||w_target||
     shift = eps * np.linalg.norm(contexts.values, axis=1) if eps.any() else eps
-    nll = ad.nll_rows(contexts, params.embedding, flat, shift)
-    finite = np.isfinite(nll.values)
+    loss, nll = ad.nll_rows(contexts, params.embedding, flat, shift,
+                            np.full(flat.size, 1.0 / flat.size))
+    finite = np.isfinite(nll)
     if not finite.all():
         n = int(np.argmin(finite))
         B = targets.shape[1] if targets.ndim == 2 else 1
         raise NumericError(
             f"non-finite loss at window position (t={n // B}, b={n % B})"
         )
-    return AdvLossBatch(nll, float(nll.values.sum()), flat.size, eps)
+    return AdvLossBatch(loss, float(nll.sum()), flat.size, eps)

@@ -9,9 +9,10 @@ bookkeeping.
 
 The op set is exactly what the LSTM language model and its loss need: an
 embedding lookup (which also adds the input noise), one op per LSTM layer
-per window, one op for the softmax head, and a weighted sum that turns the
-head's per-row losses into the scalar a backward pass starts from. No
-general broadcasting, no higher-order derivatives, CPU float64 only.
+per window, and one op for the softmax head, whose scalar loss a backward
+pass starts from. A weighted sum reduces any other op's output to a scalar
+for the gradient checks. No general broadcasting, no higher-order
+derivatives, CPU float64 only.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ import numpy as np
 from .errors import ShapeError
 
 _active = None  # the open Tape, if any
+# Logits nll_rows forms per row block (8 MB of float64). Far smaller blocks
+# slow the head: w is repacked for every GEMM.
+HEAD_BLOCK_ELEMS = 2 ** 20
 
 
 class Tensor:
@@ -68,11 +72,13 @@ class Tape:
         """Accumulate d(loss)/d(leaf) into .grad of every recorded leaf, i.e.
         every op input that no record on this tape produced.
 
-        Each call runs one full reverse pass and adds its result into .grad.
-        Repeated calls without clearing grads accumulate only when every
-        recorded op keeps its inputs (gather_rows, lstm_layer,
-        weighted_sum); nll_rows consumes its softmax buffer, so a second
-        pass through it raises RuntimeError.
+        Each call runs one full reverse pass. A leaf without a .grad adopts
+        its summed adjoint as .grad; otherwise the adjoint is added into
+        .grad in place. Repeated calls without clearing grads accumulate
+        only when every recorded op keeps its inputs (gather_rows,
+        lstm_layer, weighted_sum); nll_rows hands over the gradients it
+        formed in its forward, so a second pass through it raises
+        RuntimeError.
         """
         if loss.values.shape != ():
             raise ShapeError(
@@ -92,15 +98,16 @@ class Tape:
             for t, g in zip(inputs, backward_fn(g_out)):
                 key = id(t)
                 if key in adjoint:
-                    adjoint[key] = adjoint[key] + g
+                    adjoint[key] += g  # every backward returns fresh arrays
                 else:
                     adjoint[key] = g
                     if key not in outs:
                         leaves[key] = t
         for key, t in leaves.items():
             if t.grad is None:
-                t.grad = np.zeros_like(t.values)
-            t.grad += adjoint[key]
+                t.grad = adjoint[key]
+            else:
+                t.grad += adjoint[key]
 
 
 def _record(values: np.ndarray, inputs, backward_fn) -> Tensor:
@@ -232,15 +239,21 @@ def lstm_layer(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor,
     return out, Tensor(hs[n:]), Tensor(cs[n:])
 
 
-def nll_rows(h: Tensor, w: Tensor, targets, shift) -> Tensor:
-    """Per-row softmax cross-entropy of the logits h @ w.T with the target
+def nll_rows(h: Tensor, w: Tensor, targets, shift, weights):
+    """Weighted softmax cross-entropy of the logits h @ w.T with the target
     logit of row r lowered by the constant shift[r], as one op.
 
-    out[r] = logsumexp(z[r]) - z[r, targets[r]] where z = h @ w.T and
-    z[r, targets[r]] -= shift[r]. No gradient flows through shift. Backward:
-    with q = softmax(z) - onehot(targets), dh = q @ w and dw = q.T @ h.
-    The backward forms q in the forward's buffer, so it runs once: a second
-    backward through the same op raises RuntimeError.
+    Returns (loss, nll). nll is a plain array with
+    nll[r] = logsumexp(z[r]) - z[r, targets[r]], where z = h @ w.T and
+    z[r, targets[r]] -= shift[r]; loss is the recorded 0-d Tensor
+    sum(weights * nll). No gradient flows through shift or weights.
+
+    z is formed one block of HEAD_BLOCK_ELEMS // V rows at a time, so the
+    N x V matrix never exists. While a tape is open, each block also forms
+    q = (softmax(z) - onehot(targets)) * weights in its buffer and adds its
+    share of dh = q @ w and dw = q.T @ h. Backward only hands these over,
+    scaled by the upstream gradient, so it runs once: a second backward
+    through the same op raises RuntimeError.
     """
     hv, wv = h.values, w.values
     if hv.ndim != 2 or wv.ndim != 2 or hv.shape[1] != wv.shape[1] or wv.shape[0] < 1:
@@ -251,33 +264,55 @@ def nll_rows(h: Tensor, w: Tensor, targets, shift) -> Tensor:
     n, V = hv.shape[0], wv.shape[0]
     targets = np.asarray(targets, dtype=np.int64)
     shift = np.asarray(shift, dtype=np.float64)
-    if targets.shape != (n,) or shift.shape != (n,):
+    weights = np.asarray(weights, dtype=np.float64)
+    if targets.shape != (n,) or shift.shape != (n,) or weights.shape != (n,):
         raise ShapeError(
-            f"nll_rows: need {n} targets and shifts, got shapes {targets.shape} "
-            f"and {shift.shape}"
+            f"nll_rows: need {n} targets, shifts and weights, got shapes "
+            f"{targets.shape}, {shift.shape} and {weights.shape}"
         )
     if n and (targets.min() < 0 or targets.max() >= V):
         bad = int(targets[(targets < 0) | (targets >= V)][0])
         raise IndexError(f"nll_rows: target id {bad} out of range [0, {V})")
-    rows = np.arange(n)
-    z = hv @ wv.T
-    z[rows, targets] -= shift
-    picked = z[rows, targets]
-    m = z.max(axis=1, keepdims=True)
-    z -= m
-    e = np.exp(z, out=z)
-    s = e.sum(axis=1, keepdims=True)
-    out = (m + np.log(s)).reshape(-1) - picked
-    held = [e]  # _back's only reference to the N x V buffer
+    taped = _active is not None
+    out = np.empty(n)
+    dh = np.empty(hv.shape) if taped else None
+    dw = None
+    step = max(1, HEAD_BLOCK_ELEMS // V)
+    buf = np.empty((min(n, step), V))  # every block's logits, in turn
+    # an empty head still runs one (empty) block, so dw is V x d zeros
+    for lo in range(0, max(n, 1), step):
+        blk = slice(lo, lo + step)
+        hb, t = hv[blk], targets[blk]
+        rows = np.arange(len(t))
+        z = np.matmul(hb, wv.T, out=buf[:len(t)])
+        z[rows, t] -= shift[blk]
+        picked = z[rows, t]
+        m = z.max(axis=1, keepdims=True)
+        z -= m
+        np.exp(z, out=z)
+        s = z.sum(axis=1, keepdims=True)
+        out[blk] = (m + np.log(s)).reshape(-1) - picked
+        if taped:  # q in z's buffer: the head holds one block array
+            wb = weights[blk]
+            z /= s
+            z *= wb[:, None]
+            z[rows, t] -= wb
+            np.matmul(z, wv, out=dh[blk])
+            if dw is None:
+                dw = z.T @ hb
+            else:
+                dw += z.T @ hb
+    held = [dh, dw]  # _back's only references to the gradients
 
     def _back(g):
         if not held:
-            raise RuntimeError("nll_rows: backward already consumed this op's "
-                               "softmax buffer")
-        q = held.pop()
-        q /= s  # in place: the head never holds a second N x V array
-        q *= g[:, None]
-        q[rows, targets] -= g
-        return (q @ wv, q.T @ hv)
+            raise RuntimeError("nll_rows: backward already handed over this "
+                               "op's gradients")
+        grads = tuple(held)
+        held.clear()
+        if g != 1.0:
+            for a in grads:
+                a *= g
+        return grads
 
-    return _record(out, (h, w), _back)
+    return _record((out * weights).sum(), (h, w), _back), out

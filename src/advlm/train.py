@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .advsoft import AdvConfig, adv_nll_loss
 from .autodiff import Tape
 from .corpus import BatchStream, write_text_atomic
@@ -117,18 +116,20 @@ class TrainLog:
 
 
 def sgd_step(params: LMParams, learning_rate: float, grad_clip: float) -> None:
-    """Global-norm clip, apply p -= lr*g, then clear all gradients."""
+    """Global-norm clip, apply p -= lr*g, then clear all gradients. Each
+    gradient is scaled in place. A squared norm that is not finite (a NaN or
+    inf entry, or finite entries whose squares overflow) raises NumericError
+    before any parameter changes."""
     tensors = [t for t in params.tensors() if t.grad is not None]
-    sq = 0.0
-    for t in tensors:
-        g = t.grad
-        if not np.isfinite(g).all():
-            raise NumericError("non-finite gradient; step aborted")
-        sq += float((g * g).sum())
+    with np.errstate(over="ignore"):
+        sq = sum(float((t.grad * t.grad).sum()) for t in tensors)
+    if not math.isfinite(sq):
+        raise NumericError("non-finite gradient norm; step aborted")
     norm = math.sqrt(sq)
     scale = grad_clip / norm if norm > grad_clip else 1.0
     for t in tensors:
-        t.values -= learning_rate * scale * t.grad
+        t.grad *= learning_rate * scale
+        t.values -= t.grad
         t.grad = None
 
 
@@ -153,8 +154,7 @@ def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
             with Tape() as tape:
                 contexts, state = forward(params, inputs, state, std, rng)
                 batch = adv_nll_loss(params, contexts, targets, config.adv)
-                tape.backward(ad.weighted_sum(
-                    batch.nll, np.full(batch.count, 1.0 / batch.count)))
+                tape.backward(batch.loss)
             sgd_step(params, config.learning_rate, config.grad_clip)
         except NumericError as e:
             raise NumericError(f"epoch {epoch}, window {w_idx}: {e}")

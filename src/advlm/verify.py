@@ -123,7 +123,8 @@ def _op_cases(rng):
     hnorm = np.linalg.norm(hh.values, axis=1)
     for adv in (AdvConfig("off"), AdvConfig("fixed", 0.7), AdvConfig("adaptive", 0.3)):
         yield (f"nll_rows {adv.mode}",
-               lambda s=epsilons(adv, ww.values[y]) * hnorm: ad.nll_rows(hh, ww, y, s),
+               lambda s=epsilons(adv, ww.values[y]) * hnorm, r=rng.normal(size=n):
+                   ad.nll_rows(hh, ww, y, s, r)[0],
                [hh, ww])
 
 
@@ -155,7 +156,7 @@ def verify_gradients(seed: int = 0, instances: int = 100) -> SuiteResult:
 
         def model_loss():
             contexts, _ = forward(params, ids, zero_state(cfg, 2))
-            return adv_nll_loss(params, contexts, targets, off).nll
+            return adv_nll_loss(params, contexts, targets, off).loss
 
         worst_model = max(worst_model, _fd_check(model_loss, params.tensors(), rng))
         checked += 1
@@ -176,8 +177,9 @@ def verify_gradients(seed: int = 0, instances: int = 100) -> SuiteResult:
 
 
 def _adv_head_error(seed: int) -> float:
-    """Taped gradients of the adversarial loss vs the closed-form softmax
-    gradients with the offsets held constant."""
+    """Taped gradients of the adversarial window-mean loss vs the
+    closed-form softmax gradients, with the offsets held constant and the
+    rows weighted 1/count as the loss weights them."""
     rng = np.random.default_rng(seed + 999)
     worst = 0.0
     for mode in (AdvConfig("fixed", 0.7), AdvConfig("adaptive", 0.1)):
@@ -187,7 +189,7 @@ def _adv_head_error(seed: int) -> float:
         targets = rng.integers(0, 6, size=(5, 1))
         with Tape() as tape:
             batch = adv_nll_loss(params, H, targets, mode)
-            tape.backward(ad.weighted_sum(batch.nll, np.ones(5)))
+            tape.backward(batch.loss)
         flat = targets.reshape(-1)
         W = params.embedding.values
         z = H.values @ W.T
@@ -197,6 +199,7 @@ def _adv_head_error(seed: int) -> float:
         q = np.exp(z - m)
         q /= q.sum(axis=1, keepdims=True)
         q[n, flat] -= 1.0
+        q /= batch.count
         worst = max(worst, _rel_error(H.grad, q @ W))
         worst = max(worst, _rel_error(params.embedding.grad, q.T @ H.values))
     return worst

@@ -11,7 +11,7 @@ from advlm.advsoft import (
     epsilons,
     optimal_perturbation,
 )
-from advlm.autodiff import Tape, Tensor, weighted_sum
+from advlm.autodiff import Tape, Tensor
 from advlm.errors import ConfigError, NumericError, ShapeError
 from advlm.model import LMConfig, init_params
 
@@ -186,7 +186,7 @@ class TestBruteForce:
 
 
 def _analytic_grads(W, H, flat, eps_vec):
-    """Gradients of sum NLL treating the -eps*||h|| offsets as constants."""
+    """Gradients of the mean NLL treating the -eps*||h|| offsets as constants."""
     N, V = H.shape[0], W.shape[0]
     z = H @ W.T
     z[np.arange(N), flat] -= eps_vec * np.linalg.norm(H, axis=1)
@@ -194,6 +194,7 @@ def _analytic_grads(W, H, flat, eps_vec):
     q = np.exp(z - m)
     q /= q.sum(axis=1, keepdims=True)
     q[np.arange(N), flat] -= 1.0
+    q /= N
     return q @ W, q.T @ H
 
 
@@ -249,7 +250,7 @@ class TestAdvNllLoss:
         cfg = AdvConfig("fixed", 0.7)
         with Tape() as tape:
             batch = adv_nll_loss(params, H, targets, cfg)
-            tape.backward(weighted_sum(batch.nll, np.ones(batch.count)))
+            tape.backward(batch.loss)
         flat = targets.reshape(-1)
         gH, gW = _analytic_grads(params.embedding.values, H.values, flat,
                                  batch.epsilons)
@@ -261,7 +262,7 @@ class TestAdvNllLoss:
         cfg = AdvConfig("adaptive", 0.1)
         with Tape() as tape:
             batch = adv_nll_loss(params, H, targets, cfg)
-            tape.backward(weighted_sum(batch.nll, np.ones(batch.count)))
+            tape.backward(batch.loss)
         flat = targets.reshape(-1)
         gH, gW = _analytic_grads(params.embedding.values, H.values, flat,
                                  batch.epsilons)
@@ -273,7 +274,7 @@ class TestAdvNllLoss:
         cfg = AdvConfig("fixed", 0.7)
         with Tape() as tape:
             batch = adv_nll_loss(params, H, targets, cfg)
-            tape.backward(weighted_sum(batch.nll, np.ones(batch.count)))
+            tape.backward(batch.loss)
 
         def full_value():
             # recompute with the offset as a live function of H
@@ -282,7 +283,7 @@ class TestAdvNllLoss:
             z[np.arange(4), flat] -= 0.7 * np.linalg.norm(H.values, axis=1)
             m = z.max(axis=1, keepdims=True)
             lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-            return (lse - z[np.arange(4), flat]).sum()
+            return (lse - z[np.arange(4), flat]).mean()
 
         fd_full = numerical_grad(full_value, H.values)
         # the taped gradient ignores d(eps*||h||)/dh, the full one does not
@@ -292,13 +293,13 @@ class TestAdvNllLoss:
         params, H, targets = self._setup(seed=7)
         with Tape() as tape:
             batch = adv_nll_loss(params, H, targets, AdvConfig("off"))
-            tape.backward(weighted_sum(batch.nll, np.ones(batch.count)))
+            tape.backward(batch.loss)
 
         def value():
             z = H.values @ params.embedding.values.T
             m = z.max(axis=1, keepdims=True)
             lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-            return (lse - z[np.arange(4), targets.reshape(-1)]).sum()
+            return (lse - z[np.arange(4), targets.reshape(-1)]).mean()
 
         assert rel_error(H.grad, numerical_grad(value, H.values)) < 1e-4
         assert rel_error(params.embedding.grad,

@@ -101,9 +101,11 @@ class TestElementwise:
         np.testing.assert_allclose(hs.values, [[np.tanh(1.0)], [0.0]], atol=1e-12)
 
 
-def _nll(h, w, targets, shift=None):
+def _head(h, w, targets, shift=None, weights=None):
+    """nll_rows, by default with zero shifts and unit weights: (loss, nll)."""
     n = np.asarray(h.values).shape[0]
-    return ad.nll_rows(h, w, targets, np.zeros(n) if shift is None else shift)
+    return ad.nll_rows(h, w, targets, np.zeros(n) if shift is None else shift,
+                       np.ones(n) if weights is None else weights)
 
 
 class TestLogSumExp:
@@ -111,11 +113,11 @@ class TestLogSumExp:
     shapes. With w = I the head's logits are h itself."""
 
     def test_two_zeros(self):
-        out = _nll(ad.Tensor([[0.0, 0.0]]), ad.Tensor(np.eye(2)), [0]).values
+        out = _head(ad.Tensor([[0.0, 0.0]]), ad.Tensor(np.eye(2)), [0])[1]
         assert out[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_large_inputs_no_overflow(self):
-        out = _nll(ad.Tensor([[1000.0, 1000.0]]), ad.Tensor(np.eye(2)), [1]).values
+        out = _head(ad.Tensor([[1000.0, 1000.0]]), ad.Tensor(np.eye(2)), [1])[1]
         assert out[0] == pytest.approx(math.log(2), abs=1e-9)
 
     def test_gradient_is_softmax(self):
@@ -124,18 +126,18 @@ class TestLogSumExp:
         eye = ad.Tensor(np.eye(8))
         targets = [5, 0, 7]
         with ad.Tape() as tape:
-            loss = ad.weighted_sum(_nll(x, eye, targets), np.ones(3))
+            loss = _head(x, eye, targets)[0]
         tape.backward(loss)
         e = np.exp(x.values - x.values.max(axis=1, keepdims=True))
         soft = e / e.sum(axis=1, keepdims=True)
         soft[np.arange(3), targets] -= 1.0
         np.testing.assert_allclose(x.grad, soft, rtol=1e-12, atol=1e-15)
-        fd = numerical_grad(lambda: _nll(x, eye, targets).values.sum(), x.values)
+        fd = numerical_grad(lambda: _head(x, eye, targets)[1].sum(), x.values)
         assert rel_error(x.grad, fd) < OP_TOL
 
     def test_empty_input_rejected(self):
         with pytest.raises(ShapeError):
-            _nll(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((0, 3))), [0, 0])
+            _head(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((0, 3))), [0, 0])
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
@@ -144,8 +146,8 @@ class TestLogSumExp:
             x = rng.uniform(-5, 5, (1, k))
             c = rng.uniform(-1000, 1000)
             y = [int(rng.integers(k))]
-            lhs = _nll(ad.Tensor(x + c), ad.Tensor(np.eye(k)), y).values[0]
-            rhs = _nll(ad.Tensor(x), ad.Tensor(np.eye(k)), y).values[0]
+            lhs = _head(ad.Tensor(x + c), ad.Tensor(np.eye(k)), y)[1][0]
+            rhs = _head(ad.Tensor(x), ad.Tensor(np.eye(k)), y)[1][0]
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(c))
 
 
@@ -296,7 +298,7 @@ class TestBackward:
         w = ad.Tensor(rng.uniform(-1, 1, (5, 4)))
         with ad.Tape() as tape:
             hs = _lstm_out(*args)
-            loss = ad.weighted_sum(_nll(hs, w, [0, 1, 2, 3, 4, 0]), np.full(6, 0.5))
+            loss = _head(hs, w, [0, 1, 2, 3, 4, 0], weights=np.full(6, 0.5))[0]
         tape.backward(loss)
         for leaf in (*args, w):
             assert leaf.grad is not None and leaf.grad.shape == leaf.shape
@@ -365,18 +367,19 @@ class TestSupportOps:
         # w = I: the logits are h itself, and row r's target logit is picked
         h = ad.Tensor(np.arange(6.0).reshape(2, 3))
         shift = np.array([0.25, 0.5])
-        out = ad.nll_rows(h, ad.Tensor(np.eye(3)), [2, 0], shift).values
+        out = _head(h, ad.Tensor(np.eye(3)), [2, 0], shift)[1]
         z = h.values.copy()
         z[[0, 1], [2, 0]] -= shift
         np.testing.assert_allclose(out, logsumexp_rows(z) - [2.0 - 0.25, 3.0 - 0.5],
                                    rtol=0, atol=1e-15)
-        _check_grads(lambda t: ad.nll_rows(t, ad.Tensor(np.eye(3)), [2, 0], shift), [h])
+        _check_grads(lambda t: _head(t, ad.Tensor(np.eye(3)), [2, 0], shift,
+                                     _reduction_weights((2,)))[0], [h])
 
     def test_take_per_row_out_of_range(self):
         with pytest.raises(IndexError, match="5"):
-            _nll(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 3))), [0, 5])
+            _head(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 3))), [0, 5])
         with pytest.raises(IndexError, match="-1"):
-            _nll(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 3))), [-1, 0])
+            _head(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 3))), [-1, 0])
 
     def test_logsumexp_rows_matches_vector_op(self):
         # the head's log-sum-exp over each row equals the log-sum-exp of that
@@ -384,13 +387,14 @@ class TestSupportOps:
         rng = np.random.default_rng(10)
         m = ad.Tensor(rng.uniform(-3, 3, (4, 6)))
         y = [0, 3, 5, 1]
-        lse = _nll(m, ad.Tensor(np.eye(6)), y).values + m.values[range(4), y]
+        lse = _head(m, ad.Tensor(np.eye(6)), y)[1] + m.values[range(4), y]
         for r in range(4):
             row = m.values[r]
             top = row.max()
             assert lse[r] == pytest.approx(top + math.log(sum(math.exp(v - top) for v in row)),
                                            rel=0, abs=1e-12)
-        _check_grads(lambda t: _nll(t, ad.Tensor(np.eye(6)), y), [m])
+        _check_grads(lambda t: _head(t, ad.Tensor(np.eye(6)), y,
+                                     weights=_reduction_weights((4,)))[0], [m])
 
 
 class TestNllRows:
@@ -399,28 +403,77 @@ class TestNllRows:
         h = ad.Tensor(rng.uniform(-3, 3, (4, 3)))
         w = ad.Tensor(rng.uniform(-3, 3, (6, 3)))
         y = np.array([5, 0, 2, 5])
-        shift = rng.uniform(0, 2, 4)
+        shift, weights = rng.uniform(0, 2, 4), rng.uniform(-1, 1, 4)
         z = h.values @ w.values.T
         z[np.arange(4), y] -= shift
-        np.testing.assert_allclose(ad.nll_rows(h, w, y, shift).values,
-                                   logsumexp_rows(z) - z[np.arange(4), y],
-                                   rtol=0, atol=1e-12)
-        # shift is a constant: the op's gradient is its closed form
-        _check_grads(lambda a, b: ad.nll_rows(a, b, y, shift), [h, w])
+        loss, nll = ad.nll_rows(h, w, y, shift, weights)
+        expect = logsumexp_rows(z) - z[np.arange(4), y]
+        np.testing.assert_allclose(nll, expect, rtol=0, atol=1e-12)
+        assert float(loss.values) == pytest.approx((expect * weights).sum(),
+                                                   rel=0, abs=1e-12)
+        # shift and weights are constants: the op's gradient is its closed form
+        _check_grads(lambda a, b: ad.nll_rows(a, b, y, shift, weights)[0], [h, w])
+
+    def test_weights_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            ad.nll_rows(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.eye(3)), [0, 1],
+                        np.zeros(2), np.ones(3))
 
     def test_second_backward_raises(self):
-        # the backward normalises the forward's buffer in place, so the op
-        # runs backward once; a second pass must not reuse the consumed buffer
+        # the forward forms the gradients and backward hands them over, so
+        # the op runs backward once; a second pass must not reuse them
         h = ad.Tensor(np.ones((2, 3)))
         w = ad.Tensor(np.eye(4, 3))
         with ad.Tape() as tape:
-            loss = ad.weighted_sum(ad.nll_rows(h, w, [1, 3], [0.5, 0.0]), np.ones(2))
+            loss = ad.nll_rows(h, w, [1, 3], [0.5, 0.0], np.ones(2))[0]
         tape.backward(loss)
         with pytest.raises(RuntimeError):
             tape.backward(loss)
 
+    @staticmethod
+    def _grads(h, w, y, shift, weights):
+        h.grad = w.grad = None
+        with ad.Tape() as tape:
+            loss, nll = ad.nll_rows(h, w, y, shift, weights)
+        tape.backward(loss)
+        return nll, h.grad, w.grad
+
+    def test_empty_head_has_zero_gradients(self):
+        h, w = ad.Tensor(np.zeros((0, 3))), ad.Tensor(np.ones((4, 3)))
+        with ad.Tape() as tape:
+            loss, nll = ad.nll_rows(h, w, [], [], [])
+        tape.backward(loss)
+        assert nll.shape == (0,) and float(loss.values) == 0.0
+        assert h.grad.shape == (0, 3)
+        np.testing.assert_array_equal(w.grad, np.zeros((4, 3)))
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        n, V, d = 23, 7, 4
+        h = ad.Tensor(rng.normal(size=(n, d)))
+        w = ad.Tensor(rng.normal(size=(V, d)))
+        args = (rng.integers(0, V, size=n), rng.uniform(0, 1, n), rng.uniform(0, 1, n))
+        nll, dh, dw = self._grads(h, w, *args)
+        monkeypatch.setattr(ad, "HEAD_BLOCK_ELEMS", 3 * V)  # 8 blocks of <= 3 rows
+        nll_b, dh_b, dw_b = self._grads(h, w, *args)
+        np.testing.assert_array_equal(nll_b, nll)
+        np.testing.assert_allclose(dh_b, dh, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(dw_b, dw, rtol=1e-14, atol=0)
+
+    def test_gradient_vs_finite_differences_across_blocks(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        n, V, d = 7, 5, 3
+        monkeypatch.setattr(ad, "HEAD_BLOCK_ELEMS", 2 * V)  # blocks of 2, 2, 2, 1 rows
+        h = ad.Tensor(rng.uniform(-2, 2, (n, d)))
+        w = ad.Tensor(rng.uniform(-2, 2, (V, d)))
+        y, shift = rng.integers(0, V, size=n), rng.uniform(0, 2, n)
+        weights = rng.uniform(-1, 1, n)
+        _check_grads(lambda a, b: ad.nll_rows(a, b, y, shift, weights)[0], [h, w])
+
     def test_peak_memory_is_one_logit_matrix(self):
-        n, V, d = 512, 4096, 8
+        # the logit matrix held at once is one row block's, well below the
+        # N x V matrix of a head that forms every row's logits together
+        n, V, d = 2048, 4096, 16
         rng = np.random.default_rng(12)
         h = ad.Tensor(rng.normal(size=(n, d)))
         w = ad.Tensor(rng.normal(size=(V, d)))
@@ -428,13 +481,13 @@ class TestNllRows:
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
             with ad.Tape() as tape:
-                loss = ad.weighted_sum(ad.nll_rows(h, w, y, shift), np.ones(n))
+                loss = ad.nll_rows(h, w, y, shift, np.ones(n))[0]
             tape.backward(loss)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert w.grad is not None
-        assert peak < 1.5 * n * V * 8
+        assert peak < n * V * 8 / 4
 
 
 class TestRandomSweep:
@@ -457,4 +510,5 @@ class TestRandomSweep:
             h = ad.Tensor(rng.uniform(-2, 2, (n, d)))
             w = ad.Tensor(rng.uniform(-2, 2, (V, d)))
             y, shift = rng.integers(0, V, size=n), rng.uniform(0, 2, n)
-            _check_grads(lambda a, b: ad.nll_rows(a, b, y, shift), [h, w])
+            r = rng.uniform(-1, 1, n)
+            _check_grads(lambda a, b: ad.nll_rows(a, b, y, shift, r)[0], [h, w])

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from advlm.advsoft import AdvConfig, adv_nll_loss
-from advlm.autodiff import Tape, Tensor, weighted_sum
+from advlm.autodiff import Tape, Tensor
 from advlm.errors import CheckpointError, ConfigError, ShapeError
 from advlm.model import (
     HiddenState,
@@ -27,8 +27,11 @@ from reference import mle_loss_value as _mle_loss_value
 
 def _mle_loss_taped(params, input_ids, targets):
     contexts, _ = forward(params, input_ids, zero_state(params.config, input_ids.shape[1]))
-    nll = adv_nll_loss(params, contexts, targets, AdvConfig("off")).nll
-    return weighted_sum(nll, np.ones(nll.shape))
+    return adv_nll_loss(params, contexts, targets, AdvConfig("off")).loss
+
+
+def _mle_mean_value(params, input_ids, targets):
+    return _mle_loss_value(params, input_ids, targets) / targets.size
 
 
 class TestConfig:
@@ -210,7 +213,7 @@ class TestWeightTying:
             loss = _mle_loss_taped(params, ids, targets)
             tape.backward(loss)
         g = params.embedding.grad.copy()
-        num = numerical_grad(lambda: _mle_loss_value(params, ids, targets),
+        num = numerical_grad(lambda: _mle_mean_value(params, ids, targets),
                              params.embedding.values)
         assert rel_error(g, num) < 1e-3
 
@@ -225,10 +228,10 @@ class TestFullModelGradient:
         with Tape() as tape:
             loss = _mle_loss_taped(params, ids, targets)
             tape.backward(loss)
-        np.testing.assert_allclose(float(loss.values), _mle_loss_value(params, ids, targets),
+        np.testing.assert_allclose(float(loss.values), _mle_mean_value(params, ids, targets),
                                    rtol=1e-12)
         for name, t in params.named_tensors():
-            num = numerical_grad(lambda: _mle_loss_value(params, ids, targets), t.values)
+            num = numerical_grad(lambda: _mle_mean_value(params, ids, targets), t.values)
             err = rel_error(t.grad, num)
             assert err < 1e-3, f"{name}: rel err {err}"
 
@@ -243,7 +246,7 @@ class TestFullModelGradient:
             loss = _mle_loss_taped(params, ids, targets)
             tape.backward(loss)
         for name, t in params.named_tensors():
-            num = numerical_grad(lambda: _mle_loss_value(params, ids, targets), t.values)
+            num = numerical_grad(lambda: _mle_mean_value(params, ids, targets), t.values)
             err = rel_error(t.grad, num)
             assert err < 1e-3, f"{name}: rel err {err}"
 
@@ -259,7 +262,7 @@ class TestDetachState:
             _, state = forward(params, ids1, zero_state(cfg, 2))
             contexts, _ = forward(params, ids2, state)
             batch = adv_nll_loss(params, contexts, targets2, AdvConfig("off"))
-            tape.backward(weighted_sum(batch.nll, np.ones(batch.count)))
+            tape.backward(batch.loss)
         grads = {name: t.grad.copy() for name, t in params.named_tensors()}
 
         # constant-injection reference: window 2 only, state values as input
@@ -269,7 +272,7 @@ class TestDetachState:
         with Tape() as tape:
             contexts, _ = forward(ref, ids2, injected)
             batch = adv_nll_loss(ref, contexts, targets2, AdvConfig("off"))
-            tape.backward(weighted_sum(batch.nll, np.ones(batch.count)))
+            tape.backward(batch.loss)
         for name, t in ref.named_tensors():
             np.testing.assert_array_equal(grads[name], t.grad, err_msg=name)
 

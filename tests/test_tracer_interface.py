@@ -31,5 +31,5 @@ def test_traced_training_counts_one_record_per_model_op():
         advlm.train.train_epoch(params, stream, tcfg, 0)
     finally:
         tracer.restore()
-    assert tracer.records_per_backward == [4, 4, 4]
+    assert tracer.records_per_backward == [3, 3, 3]
     assert tracer.leaf_ratios == [1.0, 1.0, 1.0]

@@ -1,7 +1,9 @@
 """Training loop tests: optimizer, schedule, determinism, perplexity."""
 
 import gc
+import itertools
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -101,6 +103,36 @@ class TestSgdStep:
             expect = before[n] - 2.0 * (grads[n] * scale) / 10.0
             np.testing.assert_allclose(t.values, expect, rtol=1e-12)
 
+    def test_finite_step_is_bitwise_the_scaled_update(self):
+        rng = np.random.default_rng(2)
+        for lr, clip in ((2.0, 1.0), (0.1, math.inf)):
+            params = self._params()
+            before, grads = {}, {}
+            for n, t in params.named_tensors():
+                before[n] = t.values.copy()
+                grads[n] = rng.normal(size=t.values.shape)
+                t.grad = grads[n].copy()
+            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            scale = clip / norm if norm > clip else 1.0
+            sgd_step(params, lr, clip)
+            for n, t in params.named_tensors():
+                np.testing.assert_array_equal(t.values, before[n] - lr * scale * grads[n])
+
+    def test_overflowing_norm_aborts_without_mutation(self):
+        # every entry is finite, but the squared norm overflows to inf; a
+        # clip scale of clip/inf = 0 would silently skip the step
+        params = self._params()
+        before = {n: t.values.copy() for n, t in params.named_tensors()}
+        for t in params.tensors():
+            t.grad = np.zeros_like(t.values)
+        params.embedding.grad[0, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow RuntimeWarning either
+            with pytest.raises(NumericError):
+                sgd_step(params, 0.1, 1.0)
+        for n, t in params.named_tensors():
+            np.testing.assert_array_equal(t.values, before[n])
+
     def test_non_finite_gradient_aborts_without_mutation(self):
         params = self._params()
         before = params.embedding.values.copy()
@@ -193,10 +225,10 @@ class TestTrainEpoch:
                 train_epoch(params, stream, tcfg, 0)
 
     @pytest.mark.parametrize("layers,noise,records", [
-        (1, 0.0, 4),  # gather_rows, lstm_layer, nll_rows, weighted_sum
-        (1, 0.2, 4),  # the input noise is added inside gather_rows
-        (2, 0.0, 5),  # + one lstm_layer for the second layer
-    ])
+        (1, 0.0, 3),  # gather_rows, lstm_layer, nll_rows
+        (1, 0.2, 3),  # the input noise is added inside gather_rows
+        (2, 0.0, 4),  # + one lstm_layer for the second layer
+    ], ids=["one_layer", "input_noise", "two_layers"])
     def test_window_tape_records(self, monkeypatch, layers, noise, records):
         params = init_params(LMConfig(vocab_size=6, embed_dim=5, hidden_dim=4,
                                       num_layers=layers), 3)
@@ -216,6 +248,29 @@ class TestTrainEpoch:
         train_epoch(params, stream, tcfg, 0)
         shapes = [t.shape for t in params.tensors()]
         assert seen == [(records, shapes)] * stream.num_windows
+
+    def test_window_grads_share_no_memory(self, monkeypatch):
+        # each leaf adopts its summed adjoint as .grad, and sgd_step scales
+        # .grad in place, so no two gradients may be one buffer
+        params = init_params(LMConfig(vocab_size=6, embed_dim=5, hidden_dim=4,
+                                      num_layers=2), 3)
+        seen = []
+
+        class GradTape(Tape):
+            def backward(self, loss):
+                super().backward(loss)
+                seen.append([t.grad for t in params.tensors()] +
+                            [t.values for t in params.tensors()])
+
+        monkeypatch.setattr(advlm.train, "Tape", GradTape)
+        stream = batchify(np.random.default_rng(0).integers(0, 6, 80), 2, 5)
+        tcfg = TrainConfig(epochs=1, batch_size=2, bptt_len=5,
+                           adv=AdvConfig("fixed", 0.4))
+        train_epoch(params, stream, tcfg, 0)
+        assert len(seen) == stream.num_windows
+        for arrays in seen:
+            for a, b in itertools.combinations(arrays, 2):
+                assert not np.shares_memory(a, b)
 
     def test_each_window_tape_freed_when_next_opens(self, monkeypatch):
         refs = []
