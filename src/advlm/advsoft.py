@@ -58,7 +58,6 @@ class AdvConfig:
 class AdvLossBatch:
     loss: Tensor  # mean of the per-row losses, recorded on the open tape
     total: float  # sum of the per-row losses
-    count: int
     epsilons: np.ndarray
 
 
@@ -187,4 +186,4 @@ def adv_nll_loss(params: LMParams, contexts: Tensor, targets: np.ndarray,
         raise NumericError(
             f"non-finite loss at window position (t={n // B}, b={n % B})"
         )
-    return AdvLossBatch(loss, float(nll.sum()), flat.size, eps)
+    return AdvLossBatch(loss, float(nll.sum()), eps)

@@ -15,6 +15,7 @@ import numpy as np
 from .advsoft import AdvConfig, _check_index, advsoft_prob, epsilons
 from .corpus import write_text_atomic
 from .errors import ConfigError, NumericError, ShapeError
+from .model import stream_contexts
 
 BOUND_SLACK = 1e-12
 # Elements in one row block x V temporary: nearest_neighbor_distances holds
@@ -213,16 +214,9 @@ def context_probes(params, stream, num_random: int = 1000,
                    rng: np.random.Generator | None = None):
     """Default probe sets: every context vector from one evaluation pass over
     the stream, plus random unit vectors scaled to the median context norm."""
-    from .model import forward, zero_state
-
     if rng is None:
         rng = np.random.default_rng(0)
-    state = zero_state(params.config, stream.batch_size)
-    rows = []
-    for inputs, _ in stream.windows():
-        contexts, state = forward(params, inputs, state)
-        rows.append(contexts.values)
-    H = np.vstack(rows)
+    H = np.vstack([contexts.values for contexts, _ in stream_contexts(params, stream)])
     return [("train", H), ("random", random_probes(H, num_random, rng))]
 
 

@@ -70,7 +70,9 @@ class Tape:
 
     def backward(self, loss: "Tensor") -> None:
         """Accumulate d(loss)/d(leaf) into .grad of every recorded leaf, i.e.
-        every op input that no record on this tape produced.
+        every op input that no record on this tape produced. On a training
+        window's tape the leaves are exactly the parameters: the incoming
+        state and the head's shifts and weights are plain arrays.
 
         Each call runs one full reverse pass. A leaf without a .grad adopts
         its summed adjoint as .grad; otherwise the adjoint is added into
@@ -159,26 +161,26 @@ def gather_rows(m: Tensor, ids, noise=None) -> Tensor:
 
 
 def lstm_layer(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor,
-               h0: Tensor, c0: Tensor):
+               h0: np.ndarray, c0: np.ndarray):
     """One LSTM layer over a whole time-major window, as a single op.
 
     x is [(L*B) x I], row t*B + b being the input at step t of batch column
-    b; h0 and c0 are [B x H]; the gates are packed in columns as
-    [i | f | g | o] in w_x [I x 4H], w_h [H x 4H] and bias [4H]. The forget
-    gate's pre-activation gets a constant +1.0, so all-zero parameters stay
-    exactly all-zero. Returns (hs, h_last, c_last): hs [(L*B) x H] is
-    recorded (gradients reach x, the weights, h0 and c0 by backprop through
-    time); h_last and c_last are plain constants, because a window is the
-    unit of truncated BPTT.
+    b; h0 and c0 are constant [B x H] arrays; the gates are packed in columns
+    as [i | f | g | o] in w_x [I x 4H], w_h [H x 4H] and bias [4H]. The
+    forget gate's pre-activation gets a constant +1.0, so all-zero parameters
+    stay exactly all-zero. Returns (hs, h_last, c_last): hs [(L*B) x H] is
+    recorded on inputs (x, w_x, w_h, bias), which gradients reach by
+    backprop through time; h_last and c_last are plain arrays, because a
+    window is the unit of truncated BPTT.
     """
     xv, wh = x.values, w_h.values
-    B, H = h0.values.shape
-    if (xv.ndim != 2 or xv.shape[0] % B or c0.values.shape != (B, H)
+    B, H = h0.shape
+    if (xv.ndim != 2 or xv.shape[0] % B or c0.shape != (B, H)
             or w_x.values.shape != (xv.shape[1], 4 * H)
             or wh.shape != (H, 4 * H) or bias.values.shape != (4 * H,)):
         raise ShapeError(
             f"lstm_layer: x {xv.shape}, w_x {w_x.values.shape}, w_h {wh.shape}, "
-            f"bias {bias.values.shape}, h0 {h0.values.shape}, c0 {c0.values.shape} "
+            f"bias {bias.values.shape}, h0 {h0.shape}, c0 {c0.shape} "
             f"do not fit together"
         )
     n = xv.shape[0]
@@ -196,7 +198,7 @@ def lstm_layer(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor,
     tcs = np.empty((n, H))  # tanh of every step's c
     hs = np.empty((n + B, H))  # h0, then every step's h
     cs = np.empty((n + B, H))  # c0, then every step's c
-    hs[:B], cs[:B] = h0.values, c0.values
+    hs[:B], cs[:B] = h0, c0
     for lo in range(0, n, B):
         now, nxt = slice(lo, lo + B), slice(lo + B, lo + 2 * B)
         a = acts[now]
@@ -233,10 +235,9 @@ def lstm_layer(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor,
             dh = d @ wh_t
             dc *= a[:, H:2 * H]
         return (dpre @ w_x.values.T, xv.T @ dpre, hs[:n].T @ dpre,
-                dpre.sum(axis=0), dh, dc)
+                dpre.sum(axis=0))
 
-    out = _record(hs[B:], (x, w_x, w_h, bias, h0, c0), _back)
-    return out, Tensor(hs[n:]), Tensor(cs[n:])
+    return _record(hs[B:], (x, w_x, w_h, bias), _back), hs[n:], cs[n:]
 
 
 def nll_rows(h: Tensor, w: Tensor, targets, shift, weights):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, EvaluationError, ShapeError
 
 CHECKPOINT_MAGIC = b"ADVLM001"
 
@@ -81,17 +81,6 @@ class LMParams:
         return [t for _, t in self.named_tensors()]
 
 
-@dataclass
-class HiddenState:
-    """Per-layer (h, c) pairs, each [batch_size x layer width]."""
-
-    layers: list[tuple[Tensor, Tensor]]
-
-    @property
-    def batch_size(self) -> int:
-        return self.layers[0][0].shape[0]
-
-
 def _build_params(config: LMConfig, arrays) -> LMParams:
     """LMParams from arrays given in _expected_shapes order."""
     it = (Tensor(a) for a in arrays)
@@ -108,32 +97,31 @@ def init_params(config: LMConfig, seed: int) -> LMParams:
                                   for _, shape in _expected_shapes(config)))
 
 
-def zero_state(config: LMConfig, batch_size: int) -> HiddenState:
-    return HiddenState([
-        (Tensor(np.zeros((batch_size, h))), Tensor(np.zeros((batch_size, h))))
-        for h in config.layer_sizes
-    ])
+def zero_state(config: LMConfig, batch_size: int) -> list:
+    """Per-layer (h, c) pairs of zeros, each [batch_size x layer width]."""
+    return [(np.zeros((batch_size, h)), np.zeros((batch_size, h)))
+            for h in config.layer_sizes]
 
 
-def forward(params: LMParams, input_ids: np.ndarray, state: HiddenState,
+def forward(params: LMParams, input_ids: np.ndarray, state: list,
             input_noise_std: float = 0.0, rng: np.random.Generator | None = None):
-    """Run the stack over a [L x B] id window.
+    """Run the stack over a [L x B] id window from state, per-layer (h, c) arrays.
 
     Returns (contexts, new_state) where contexts is [(L*B) x embed_dim],
-    time-major, and new_state carries no gradient. Noise is added to
+    time-major, and new_state is the next window's state. Noise is added to
     looked-up input embeddings only; the output-side use of the embedding
     matrix never sees it.
     """
     input_ids = np.asarray(input_ids)
     if input_ids.ndim != 2:
         raise ShapeError(f"input_ids must be [L x B], got shape {input_ids.shape}")
-    if len(state.layers) != len(params.layers):
+    if len(state) != len(params.layers):
         raise ShapeError(
-            f"state has {len(state.layers)} layers, model has {len(params.layers)}"
+            f"state has {len(state)} layers, model has {len(params.layers)}"
         )
     B = input_ids.shape[1]
-    if state.batch_size != B:
-        raise ShapeError(f"state batch size {state.batch_size} != input batch size {B}")
+    if state[0][0].shape[0] != B:
+        raise ShapeError(f"state batch size {state[0][0].shape[0]} != input batch size {B}")
     if input_noise_std > 0 and rng is None:
         raise ConfigError("input_noise_std > 0 requires an rng")
 
@@ -144,11 +132,24 @@ def forward(params: LMParams, input_ids: np.ndarray, state: HiddenState,
         noise = rng.normal(0.0, input_noise_std,
                            size=(ids.size, params.config.embed_dim))
     x = ad.gather_rows(params.embedding, ids, noise)
-    layers = []
-    for layer, (h, c) in zip(params.layers, state.layers):
+    new_state = []
+    for layer, (h, c) in zip(params.layers, state):
         x, h, c = ad.lstm_layer(x, layer.w_x, layer.w_h, layer.bias, h, c)
-        layers.append((h, c))
-    return x, HiddenState(layers)
+        new_state.append((h, c))
+    return x, new_state
+
+
+def stream_contexts(params: LMParams, stream):
+    """Yield (contexts, targets) for each window of a BatchStream, run from
+    the zero state with no tape open: the pass evaluation and the probes
+    share. A stream with no window raises EvaluationError."""
+    if stream.num_windows == 0:
+        raise EvaluationError(f"stream is shorter than one window "
+                              f"({stream.bptt_len} + 1 steps)")
+    state = zero_state(params.config, stream.batch_size)
+    for inputs, targets in stream.windows():
+        contexts, state = forward(params, inputs, state)
+        yield contexts, targets
 
 
 def _write_tensor(fh, arr: np.ndarray) -> None:

@@ -18,7 +18,7 @@ from .advsoft import AdvConfig, adv_nll_loss
 from .autodiff import Tape
 from .corpus import BatchStream, write_text_atomic
 from .errors import ConfigError, EvaluationError, NumericError
-from .model import LMParams, forward, zero_state
+from .model import LMParams, forward, stream_contexts, zero_state
 
 LOG_HEADER = "epoch,train_ppl,valid_ppl,wall_s,noise_std,mean_eps"
 
@@ -147,7 +147,6 @@ def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
     rng = np.random.default_rng([config.seed, epoch])
     state = zero_state(params.config, stream.batch_size)
     total_nll = 0.0
-    tokens = 0
     eps_sum = 0.0
     for w_idx, (inputs, targets) in enumerate(stream.windows()):
         try:
@@ -159,8 +158,8 @@ def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
         except NumericError as e:
             raise NumericError(f"epoch {epoch}, window {w_idx}: {e}")
         total_nll += batch.total
-        tokens += batch.count
         eps_sum += float(batch.epsilons.sum())
+    tokens = stream.num_targets
     if tokens == 0:
         raise EvaluationError("stream produced no windows")
     return EpochStats(total_nll, tokens, eps_sum / tokens)
@@ -168,24 +167,26 @@ def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
 
 def evaluate(params: LMParams, stream: BatchStream) -> float:
     """Perplexity exp(total NLL / tokens) under the plain softmax."""
-    if stream.num_windows == 0:
-        raise EvaluationError("cannot evaluate on an empty stream")
     off = AdvConfig("off")
-    state = zero_state(params.config, stream.batch_size)
-    total, tokens = 0.0, 0
-    for inputs, targets in stream.windows():
-        contexts, state = forward(params, inputs, state)
-        batch = adv_nll_loss(params, contexts, targets, off)
-        total += batch.total
-        tokens += batch.count
-    return math.exp(total / tokens)
+    total = sum(adv_nll_loss(params, contexts, targets, off).total
+                for contexts, targets in stream_contexts(params, stream))
+    return math.exp(total / stream.num_targets)
 
 
 def train(params: LMParams, train_stream: BatchStream,
           valid_stream: BatchStream | None, config: TrainConfig,
           progress=None) -> TrainLog:
     """Run the full schedule; validation runs every eval_interval epochs and
-    on the last epoch, with NaN logged in between."""
+    on the last epoch, with NaN logged in between. A training stream whose
+    sizes are not config's, or a validation stream with no window, is
+    rejected before epoch 0."""
+    sizes = (train_stream.batch_size, train_stream.bptt_len)
+    if sizes != (config.batch_size, config.bptt_len):
+        raise ConfigError(f"training stream's (batch_size, bptt_len) {sizes} are not the "
+                          f"config's {(config.batch_size, config.bptt_len)}")
+    if valid_stream is not None and valid_stream.num_windows == 0:
+        raise ConfigError(f"validation stream is shorter than one window "
+                          f"({valid_stream.bptt_len} + 1 steps)")
     log = TrainLog()
     for epoch in range(config.epochs):
         t0 = time.perf_counter()

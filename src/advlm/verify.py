@@ -104,18 +104,18 @@ def _op_cases(rng):
     x = t(L * B, m)
     stack, in_dim = [], m
     for h in (k, k + 1):
-        stack.append([t(in_dim, 4 * h, r=0.7), t(h, 4 * h, r=0.7), t(4 * h, r=0.7),
-                      t(B, h, r=1.0), t(B, h, r=1.0)])
+        stack.append(([t(in_dim, 4 * h, r=0.7), t(h, 4 * h, r=0.7), t(4 * h, r=0.7)],
+                      rng.uniform(-1.0, 1.0, size=(2, B, h))))  # (h0, c0)
         in_dim = h
 
     def lstm(depth):
         out = x
-        for layer in stack[:depth]:
-            out = ad.lstm_layer(out, *layer)[0]
+        for weights, state in stack[:depth]:
+            out = ad.lstm_layer(out, *weights, *state)[0]
         return out
 
-    yield "lstm_layer", lambda: lstm(1), [x, *stack[0]]
-    yield "lstm_layer x2", lambda: lstm(2), [x, *stack[0], *stack[1]]
+    yield "lstm_layer", lambda: lstm(1), [x, *stack[0][0]]
+    yield "lstm_layer x2", lambda: lstm(2), [x, *stack[0][0], *stack[1][0]]
     # the head's shift is a constant, so it is fixed from the start values
     V = int(rng.integers(2, 6))
     hh, ww = t(n, m), t(V, m)
@@ -199,7 +199,7 @@ def _adv_head_error(seed: int) -> float:
         q = np.exp(z - m)
         q /= q.sum(axis=1, keepdims=True)
         q[n, flat] -= 1.0
-        q /= batch.count
+        q /= flat.size
         worst = max(worst, _rel_error(H.grad, q @ W))
         worst = max(worst, _rel_error(params.embedding.grad, q.T @ H.values))
     return worst

@@ -42,10 +42,12 @@ def _check_grads(op, tensors, tol=OP_TOL):
 
 
 def _lstm_args(rng, L, B, I, H, r=0.5, state=True):
-    """Leaf tensors (x, w_x, w_h, bias, h0, c0) for lstm_layer."""
+    """Leaf tensors (x, w_x, w_h, bias), then the constant state arrays
+    (h0, c0), for lstm_layer."""
     def t(*shape):
         return ad.Tensor(rng.uniform(-r, r, shape))
-    h0, c0 = (t(B, H), t(B, H)) if state else (ad.Tensor(np.zeros((B, H))),) * 2
+    h0, c0 = ((rng.uniform(-r, r, (B, H)), rng.uniform(-r, r, (B, H))) if state
+              else (np.zeros((B, H)),) * 2)
     return t(L * B, I), t(I, 4 * H), t(H, 4 * H), t(4 * H), h0, c0
 
 
@@ -53,12 +55,18 @@ def _lstm_out(*args):
     return ad.lstm_layer(*args)[0]
 
 
+def _check_lstm_grads(args, tol=OP_TOL):
+    """Check the gradients of all four tensor inputs of lstm_layer."""
+    *tensors, h0, c0 = args
+    _check_grads(lambda *ts: _lstm_out(*ts, h0, c0), tensors, tol)
+
+
 class TestElementwise:
     def test_tanh_zero(self):
         # zero weights, input and state: g = tanh(0) = 0, so h and c stay 0
         args = _lstm_args(np.random.default_rng(0), 2, 2, 3, 4, r=0.0, state=False)
         hs, h, c = ad.lstm_layer(*args)
-        assert not hs.values.any() and not h.values.any() and not c.values.any()
+        assert not hs.values.any() and not h.any() and not c.any()
 
     def test_sigmoid_zero(self):
         # zero pre-activations: i = o = sigmoid(0) = 0.5 exactly, f = sigmoid(1)
@@ -68,36 +76,40 @@ class TestElementwise:
             p.values[:] = 0.0
         hs, _, c = ad.lstm_layer(x, w_x, w_h, bias, h0, c0)
         f = 1.0 / (1.0 + np.exp(-1.0))
-        np.testing.assert_allclose(c.values, f * c0.values, rtol=1e-15)
-        np.testing.assert_array_equal(hs.values, 0.5 * np.tanh(c.values))
+        np.testing.assert_allclose(c, f * c0, rtol=1e-15)
+        np.testing.assert_array_equal(hs.values, 0.5 * np.tanh(c))
 
     def test_tanh_gradient_at_0p3(self):
-        # i = 0, f = o = 1 (saturated): c = c0 = 0.3 and h = tanh(0.3), so
-        # dh/dc0 is the layer's tanh derivative at 0.3
-        c0 = ad.Tensor([[0.3]])
-        bias = ad.Tensor([-800.0, 800.0, 0.0, 800.0])
+        # i = o = 1 and f = 0 (saturated), g = tanh(atanh(0.3)): c = g = 0.3
+        # and h = tanh(c), so dh/dbias_g = (1 - tanh(c)^2)(1 - g^2) is the
+        # layer's tanh derivative at 0.3, once for c and once for g
+        bias = ad.Tensor([800.0, -800.0, np.arctanh(0.3), 800.0])
         zeros = ad.Tensor(np.zeros((1, 4)))
+        state = np.zeros((1, 1))
 
-        def h_of_c0():
-            return ad.weighted_sum(ad.lstm_layer(ad.Tensor([[0.0]]), zeros, zeros, bias,
-                                                 ad.Tensor([[0.0]]), c0)[0], [[1.0]])
+        def run():
+            return ad.lstm_layer(ad.Tensor([[0.0]]), zeros, zeros, bias, state, state)
         with ad.Tape() as tape:
-            loss = h_of_c0()
+            hs, _, c = run()
+            loss = ad.weighted_sum(hs, [[1.0]])
         tape.backward(loss)
-        np.testing.assert_allclose(c0.grad, [[1.0 - np.tanh(0.3) ** 2]], rtol=1e-15)
-        fd = numerical_grad(lambda: float(h_of_c0().values), c0.values)
-        assert rel_error(c0.grad, fd) < OP_TOL
+        np.testing.assert_allclose(c, [[0.3]], rtol=1e-15)
+        g = c[0, 0]  # c = i*g + f*c0 = g
+        want = (1.0 - np.tanh(g) ** 2) * (1.0 - g ** 2)
+        np.testing.assert_allclose(bias.grad, [0.0, 0.0, want, 0.0], rtol=1e-15)
+        fd = numerical_grad(lambda: float(run()[0].values[0, 0]), bias.values)
+        assert rel_error(bias.grad, fd) < OP_TOL
 
     def test_sigmoid_extreme_inputs_finite(self):
         # gate pre-activations of +-800 saturate the layer's sigmoids to 0/1
         x = ad.Tensor([[1.0], [-1.0]])
         w_x = ad.Tensor(np.full((1, 4), 800.0))
         hs, _, c = ad.lstm_layer(x, w_x, ad.Tensor(np.zeros((1, 4))),
-                                 ad.Tensor(np.zeros(4)), ad.Tensor(np.zeros((2, 1))),
-                                 ad.Tensor(np.zeros((2, 1))))
-        assert np.all(np.isfinite(hs.values)) and np.all(np.isfinite(c.values))
+                                 ad.Tensor(np.zeros(4)), np.zeros((2, 1)),
+                                 np.zeros((2, 1)))
+        assert np.all(np.isfinite(hs.values)) and np.all(np.isfinite(c))
         # row 0: i = o = 1, g = 1 -> c = 1; row 1: i = o = 0 -> h = c = 0
-        np.testing.assert_allclose(c.values, [[1.0], [0.0]], atol=1e-12)
+        np.testing.assert_allclose(c, [[1.0], [0.0]], atol=1e-12)
         np.testing.assert_allclose(hs.values, [[np.tanh(1.0)], [0.0]], atol=1e-12)
 
 
@@ -300,7 +312,7 @@ class TestBackward:
             hs = _lstm_out(*args)
             loss = _head(hs, w, [0, 1, 2, 3, 4, 0], weights=np.full(6, 0.5))[0]
         tape.backward(loss)
-        for leaf in (*args, w):
+        for leaf in (*args[:4], w):
             assert leaf.grad is not None and leaf.grad.shape == leaf.shape
         for out, _, _ in tape.records:
             assert out.grad is None
@@ -309,30 +321,34 @@ class TestBackward:
 class TestLstmLayer:
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(6)
-        args = _lstm_args(rng, 3, 2, 3, 4)
-        _check_grads(_lstm_out, list(args), tol=1e-6)
+        _check_lstm_grads(_lstm_args(rng, 3, 2, 3, 4), tol=1e-6)
 
     def test_matches_hand_steps(self):
         rng = np.random.default_rng(7)
         L, B = 4, 3
         x, w_x, w_h, bias, h0, c0 = _lstm_args(rng, L, B, 3, 5, r=1.0)
         hs, h_last, c_last = ad.lstm_layer(x, w_x, w_h, bias, h0, c0)
-        h, c = h0.values, c0.values
+        h, c = h0, c0
         for t in range(L):
             h, c = hand_lstm_step(w_x.values, w_h.values, bias.values,
                                   x.values[t * B:(t + 1) * B], h, c)
             np.testing.assert_allclose(hs.values[t * B:(t + 1) * B], h, rtol=0,
                                        atol=1e-12)
-        np.testing.assert_array_equal(h_last.values, hs.values[-B:])
-        np.testing.assert_allclose(c_last.values, c, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(h_last, hs.values[-B:])
+        np.testing.assert_allclose(c_last, c, rtol=0, atol=1e-12)
 
     def test_returned_state_is_constant(self):
+        # the state in and out is plain arrays: the op records only x and
+        # the weights, and its backward returns their four gradients
         args = _lstm_args(np.random.default_rng(8), 2, 2, 3, 4)
         with ad.Tape() as tape:
-            _, h_last, c_last = ad.lstm_layer(*args)
-        assert len(tape.records) == 1
-        outs = {id(out) for out, _, _ in tape.records}
-        assert id(h_last) not in outs and id(c_last) not in outs
+            hs, h_last, c_last = ad.lstm_layer(*args)
+        [(out, inputs, backward_fn)] = tape.records
+        assert out is hs
+        assert [id(t) for t in inputs] == [id(t) for t in args[:4]]
+        assert type(h_last) is np.ndarray and type(c_last) is np.ndarray
+        grads = backward_fn(np.ones(hs.shape))
+        assert [g.shape for g in grads] == [t.shape for t in args[:4]]
 
     def test_shape_mismatch(self):
         x, w_x, w_h, bias, h0, c0 = _lstm_args(np.random.default_rng(9), 2, 2, 3, 4)
@@ -505,7 +521,7 @@ class TestRandomSweep:
             _check_grads(lambda t: ad.gather_rows(t, ids), [m])
         for _ in range(10):
             L, B, I, H = rng.integers(1, 4, size=4)
-            _check_grads(_lstm_out, list(_lstm_args(rng, L, B, I, H, r=1.0)))
+            _check_lstm_grads(_lstm_args(rng, L, B, I, H, r=1.0))
             n, V, d = rng.integers(1, 5, size=3)
             h = ad.Tensor(rng.uniform(-2, 2, (n, d)))
             w = ad.Tensor(rng.uniform(-2, 2, (V, d)))

@@ -184,6 +184,21 @@ class TestTrainCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_validation_side_without_window_exits_2_before_training(
+            self, tmp_path, capsys):
+        # 480 tokens split 432/48: at B=2 the validation side has 24 steps,
+        # too few for one window of 30 + 1, while training has 7 windows
+        corpus = tmp_path / "c.txt"
+        make_corpus(corpus)
+        rc = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                   "--epochs", "1", "--embed-dim", "8", "--batch-size", "2",
+                   "--bptt-len", "30"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == LOG_HEADER  # no epoch ran
+        assert "validation stream" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "model.bin").exists()
+
     def test_missing_corpus_file(self, tmp_path, capsys):
         rc = main(["train", "--corpus", str(tmp_path / "nope.txt"),
                    "--out", str(tmp_path / "o")])
@@ -209,10 +224,14 @@ class TestTrainCommand:
                  "--epochs", "1"]
         analyze = ["analyze", "--checkpoint", str(trained_run["out"] / "model.bin"),
                    "--out", str(tmp_path / "a"), "--num-random", "5"]
+        # 80 tokens: enough to batchify at B=32, L=32, too few for one window
+        short = ["--checkpoint", str(trained_run["out"] / "model.bin"),
+                 "--corpus", str(corpus)]
         cases = [(train + ["--seed", "-4"], None),
                  (train + ["--config", str(neg_seed)], None),
                  (train, "-3"), (analyze + ["--seed", "-4"], None),
                  (analyze, "-3"), (analyze + ["--num-random", "-1"], None),
+                 (["eval"] + short, None), (analyze + short[2:], None),
                  (["verify", "--seed", "-4"], None),
                  (["verify", "--scale", "nan"], None),
                  (["verify", "--scale", "inf"], None),

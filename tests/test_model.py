@@ -8,15 +8,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from advlm.advsoft import AdvConfig, adv_nll_loss
-from advlm.autodiff import Tape, Tensor
+from advlm.autodiff import Tape
+from advlm.corpus import batchify
 from advlm.errors import CheckpointError, ConfigError, ShapeError
 from advlm.model import (
-    HiddenState,
     LMConfig,
     forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
+    stream_contexts,
     zero_state,
 )
 
@@ -83,22 +84,22 @@ class TestForward:
         ids = np.array([[0, 1], [2, 3], [4, 5]])
         contexts, state = forward(params, ids, zero_state(cfg, 2))
         np.testing.assert_array_equal(contexts.values, np.zeros((6, 4)))
-        h, c = state.layers[0]
-        assert not h.values.any() and not c.values.any()
+        h, c = state[0]
+        assert not h.any() and not c.any()
 
     def test_gate_oracle_two_unit_cell(self):
         cfg = LMConfig(vocab_size=3, embed_dim=2, init_range=0.5)
         params = init_params(cfg, 9)
         h0 = np.array([[0.3, -0.2]])
         c0 = np.array([[0.1, 0.4]])
-        state = HiddenState([(Tensor(h0.copy()), Tensor(c0.copy()))])
+        state = [(h0.copy(), c0.copy())]
         contexts, new_state = forward(params, np.array([[1]]), state)
         layer = params.layers[0]
         x = params.embedding.values[[1]]
         h_ref, c_ref = _hand_lstm_step(layer.w_x.values, layer.w_h.values,
                                        layer.bias.values, x, h0, c0)
         assert np.abs(contexts.values - h_ref).max() < 1e-12
-        assert np.abs(new_state.layers[0][1].values - c_ref).max() < 1e-12
+        assert np.abs(new_state[0][1] - c_ref).max() < 1e-12
 
     def test_multi_step_multi_layer_matches_hand_loop(self):
         cfg = LMConfig(vocab_size=7, embed_dim=3, hidden_dim=5, num_layers=2)
@@ -180,6 +181,21 @@ class TestForward:
             forward(params, np.array([0, 1]), zero_state(cfg, 2))
         with pytest.raises(ShapeError):
             forward(params, np.array([[0, 1]]), zero_state(cfg, 3))
+        two_layers = LMConfig(vocab_size=5, embed_dim=3, num_layers=2)
+        with pytest.raises(ShapeError):
+            forward(params, np.array([[0, 1]]), zero_state(two_layers, 2))
+
+    def test_stream_contexts_carry_the_state_across_windows(self):
+        cfg = LMConfig(vocab_size=5, embed_dim=3, hidden_dim=4, num_layers=2)
+        params = init_params(cfg, 1)
+        stream = batchify(np.arange(22) % 5, 2, 3)  # 11 steps: 3 windows
+        got = list(stream_contexts(params, stream))
+        assert len(got) == stream.num_windows == 3
+        state = zero_state(cfg, 2)
+        for (contexts, targets), (inputs, want_targets) in zip(got, stream.windows()):
+            want, state = forward(params, inputs, state)
+            np.testing.assert_array_equal(contexts.values, want.values)
+            np.testing.assert_array_equal(targets, want_targets)
 
     def test_out_of_range_id_rejected(self):
         cfg = LMConfig(vocab_size=5, embed_dim=3)
@@ -267,8 +283,7 @@ class TestDetachState:
 
         # constant-injection reference: window 2 only, state values as input
         ref = init_params(cfg, 1)
-        injected = HiddenState([(Tensor(h.values.copy()), Tensor(c.values.copy()))
-                                for h, c in state.layers])
+        injected = [(h.copy(), c.copy()) for h, c in state]
         with Tape() as tape:
             contexts, _ = forward(ref, ids2, injected)
             batch = adv_nll_loss(ref, contexts, targets2, AdvConfig("off"))

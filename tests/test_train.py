@@ -237,9 +237,14 @@ class TestTrainEpoch:
         class CountingTape(Tape):
             def backward(self, loss):
                 super().backward(loss)
+                # the leaves: record inputs that no record produced
+                outs = {id(out) for out, _, _ in self.records}
+                leaves = {id(t) for _, inputs, _ in self.records
+                          for t in inputs if id(t) not in outs}
                 seen.append((len(self.records),
                              [None if t.grad is None else t.grad.shape
-                              for t in params.tensors()]))
+                              for t in params.tensors()],
+                             leaves))
 
         monkeypatch.setattr(advlm.train, "Tape", CountingTape)
         stream = batchify(np.random.default_rng(0).integers(0, 6, 80), 2, 5)
@@ -247,7 +252,8 @@ class TestTrainEpoch:
                            input_noise_start=noise, adv=AdvConfig("fixed", 0.4))
         train_epoch(params, stream, tcfg, 0)
         shapes = [t.shape for t in params.tensors()]
-        assert seen == [(records, shapes)] * stream.num_windows
+        leaves = {id(t) for t in params.tensors()}
+        assert seen == [(records, shapes, leaves)] * stream.num_windows
 
     def test_window_grads_share_no_memory(self, monkeypatch):
         # each leaf adopts its summed adjoint as .grad, and sgd_step scales
@@ -347,6 +353,31 @@ class TestEvaluate:
         stream = batchify(np.arange(8) % 4, 2, 10)  # 4 steps < L+1
         with pytest.raises(EvaluationError):
             evaluate(params, stream)
+
+
+class TestTrain:
+    def _setup(self):
+        params = init_params(LMConfig(vocab_size=5, embed_dim=4), 1)
+        ids = np.random.default_rng(5).integers(0, 5, 120)
+        return params, ids, [t.values.copy() for t in params.tensors()]
+
+    def test_stream_sizes_must_match_config(self):
+        params, ids, before = self._setup()
+        stream = batchify(ids, 2, 5)
+        for sizes in (dict(batch_size=3, bptt_len=5), dict(batch_size=2, bptt_len=4)):
+            with pytest.raises(ConfigError, match="training stream"):
+                train(params, stream, None, TrainConfig(epochs=1, **sizes))
+        for t, v in zip(params.tensors(), before):
+            np.testing.assert_array_equal(t.values, v)
+
+    def test_validation_stream_without_window_rejected_before_training(self):
+        params, ids, before = self._setup()
+        short = batchify(ids[:8], 2, 5)  # 4 steps: no window of 5 + 1
+        with pytest.raises(ConfigError, match="validation stream"):
+            train(params, batchify(ids, 2, 5), short,
+                  TrainConfig(epochs=1, batch_size=2, bptt_len=5))
+        for t, v in zip(params.tensors(), before):
+            np.testing.assert_array_equal(t.values, v)
 
 
 class TestTrainLog:
