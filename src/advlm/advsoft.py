@@ -101,7 +101,7 @@ def advsoft_prob(i: int, W: np.ndarray, h: np.ndarray, eps: float) -> float:
 
 
 def brute_force_advsoft(i: int, W: np.ndarray, h: np.ndarray, eps: float,
-                        num_samples: int, rng: np.random.Generator | None = None) -> float:
+                        num_samples: int, rng: np.random.Generator) -> float:
     """Minimize softmax(i) over sampled perturbations: the analytic candidate,
     num_samples all-word sets at radius eps/2 each, and num_samples single-word
     perturbations at radius eps. Returns the smallest probability found."""
@@ -113,8 +113,6 @@ def brute_force_advsoft(i: int, W: np.ndarray, h: np.ndarray, eps: float,
         raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
     if V == 1:
         return 1.0
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     base = W @ h
     hnorm = np.linalg.norm(h)

@@ -210,12 +210,9 @@ def diversity_report(W: np.ndarray, adv: AdvConfig,
     return DiversityReport(nn, sv, sv_entropy(sv), entries)
 
 
-def context_probes(params, stream, num_random: int = 1000,
-                   rng: np.random.Generator | None = None):
+def context_probes(params, stream, num_random: int, rng: np.random.Generator):
     """Default probe sets: every context vector from one evaluation pass over
     the stream, plus random unit vectors scaled to the median context norm."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     H = np.vstack([contexts.values for contexts, _ in stream_contexts(params, stream)])
     return [("train", H), ("random", random_probes(H, num_random, rng))]
 

@@ -19,8 +19,8 @@ from .advsoft import AdvConfig
 from .analysis import context_probes, diversity_report, random_probes
 from .corpus import (BatchStream, Vocab, batchify, build_vocab, read_tokens,
                      split_tokens, write_text_atomic)
-from .errors import (CheckpointError, ConfigError, CorpusError,
-                     EvaluationError, NumericError, ShapeError)
+from .errors import (CheckpointError, ConfigError, CorpusError, NumericError,
+                     ShapeError)
 from .model import LMConfig, init_params, load_checkpoint, save_checkpoint
 from .train import LOG_HEADER, TrainConfig, evaluate, train
 from .verify import run_all
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
         parser.error("eval requires --corpus")
     try:
         return args.func(args)
-    except (ConfigError, CorpusError, EvaluationError, ShapeError) as exc:
+    except (ConfigError, CorpusError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

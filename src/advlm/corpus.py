@@ -116,12 +116,18 @@ class BatchStream:
 
     Column b holds one contiguous slice of the corpus stream; window k pairs
     rows [kL, kL+L) with the rows shifted one step ahead. Trailing tokens that
-    do not fill the matrix are dropped.
+    do not fill the matrix are dropped. A stream always holds at least one
+    window: fewer than bptt_len + 1 steps raise ConfigError.
     """
 
     def __init__(self, data: np.ndarray, bptt_len: int):
         self.data = data
         self.bptt_len = bptt_len
+        B, steps = self.batch_size, data.shape[0]
+        if steps < bptt_len + 1:
+            raise ConfigError(
+                f"stream shorter than one window: batch_size={B}, bptt_len={bptt_len} "
+                f"need at least {B * (bptt_len + 1)} tokens, got {steps * B}")
 
     @property
     def batch_size(self) -> int:
@@ -149,10 +155,8 @@ def batchify(ids, batch_size: int, bptt_len: int) -> BatchStream:
             f"batch_size and bptt_len must be positive, got {batch_size}, {bptt_len}"
         )
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size < 2 * batch_size:
-        raise ConfigError(
-            f"need at least {2 * batch_size} tokens for batch_size={batch_size}, got {ids.size}"
-        )
+    if ids.ndim != 1:
+        raise ConfigError(f"token ids must be 1-d, got shape {ids.shape}")
     steps = ids.size // batch_size
     data = ids[:steps * batch_size].reshape(batch_size, steps).T.copy()
     return BatchStream(data, bptt_len)

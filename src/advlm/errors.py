@@ -1,6 +1,6 @@
 """Exception types shared across the library.
 
-The CLI maps these to exit codes: ConfigError/CorpusError/EvaluationError -> 2,
+The CLI maps these to exit codes: ConfigError/CorpusError -> 2,
 NumericError -> 3, CheckpointError -> 4. A MemoryError (sizes the machine
 cannot hold) also exits 2.
 """
@@ -20,10 +20,6 @@ class CorpusError(ValueError):
 
 class NumericError(ArithmeticError):
     """A non-finite value appeared where the computation requires finite ones."""
-
-
-class EvaluationError(RuntimeError):
-    """Evaluation was asked to run on an empty or unusable stream."""
 
 
 class CheckpointError(RuntimeError):

@@ -115,7 +115,7 @@ class ExperimentResult:
         }
 
 
-def load_split(corpus_path: str | None = None):
+def load_split(corpus_path: str | None):
     """Bundled-corpus token ids: 90% train head, 10% valid tail."""
     head, tail = split_tokens(read_tokens(corpus_path or bundled_corpus_path()))
     vocab = build_vocab(head)

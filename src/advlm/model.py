@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CheckpointError, ConfigError, EvaluationError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError
 
 CHECKPOINT_MAGIC = b"ADVLM001"
 
@@ -140,12 +140,9 @@ def forward(params: LMParams, input_ids: np.ndarray, state: list,
 
 
 def stream_contexts(params: LMParams, stream):
-    """Yield (contexts, targets) for each window of a BatchStream, run from
-    the zero state with no tape open: the pass evaluation and the probes
-    share. A stream with no window raises EvaluationError."""
-    if stream.num_windows == 0:
-        raise EvaluationError(f"stream is shorter than one window "
-                              f"({stream.bptt_len} + 1 steps)")
+    """Yield (contexts, targets) for each window of a BatchStream (it has at
+    least one), run from the zero state with no tape open: the pass
+    evaluation and the probes share."""
     state = zero_state(params.config, stream.batch_size)
     for inputs, targets in stream.windows():
         contexts, state = forward(params, inputs, state)

@@ -3,7 +3,8 @@
 Each window runs on its own tape, freed when the next window's tape opens.
 The hidden state a window hands on is a constant, so gradients never cross
 window boundaries (truncated BPTT). Evaluation always uses the plain softmax
-(no perturbation, no noise, no recording).
+(no perturbation, no noise, no recording). Every stream holds at least one
+window, so every per-target mean here has a positive count.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .advsoft import AdvConfig, adv_nll_loss
 from .autodiff import Tape
 from .corpus import BatchStream, write_text_atomic
-from .errors import ConfigError, EvaluationError, NumericError
+from .errors import ConfigError, NumericError
 from .model import LMParams, forward, stream_contexts, zero_state
 
 LOG_HEADER = "epoch,train_ppl,valid_ppl,wall_s,noise_std,mean_eps"
@@ -160,8 +161,6 @@ def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
         total_nll += batch.total
         eps_sum += float(batch.epsilons.sum())
     tokens = stream.num_targets
-    if tokens == 0:
-        raise EvaluationError("stream produced no windows")
     return EpochStats(total_nll, tokens, eps_sum / tokens)
 
 
@@ -178,15 +177,11 @@ def train(params: LMParams, train_stream: BatchStream,
           progress=None) -> TrainLog:
     """Run the full schedule; validation runs every eval_interval epochs and
     on the last epoch, with NaN logged in between. A training stream whose
-    sizes are not config's, or a validation stream with no window, is
-    rejected before epoch 0."""
+    sizes are not config's is rejected before epoch 0."""
     sizes = (train_stream.batch_size, train_stream.bptt_len)
     if sizes != (config.batch_size, config.bptt_len):
         raise ConfigError(f"training stream's (batch_size, bptt_len) {sizes} are not the "
                           f"config's {(config.batch_size, config.bptt_len)}")
-    if valid_stream is not None and valid_stream.num_windows == 0:
-        raise ConfigError(f"validation stream is shorter than one window "
-                          f"({valid_stream.bptt_len} + 1 steps)")
     log = TrainLog()
     for epoch in range(config.epochs):
         t0 = time.perf_counter()

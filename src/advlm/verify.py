@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .autodiff import Tape, Tensor
 from .corpus import batchify
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError
 from .model import LMConfig, forward, init_params, zero_state
 from .train import evaluate
 
@@ -128,7 +128,7 @@ def _op_cases(rng):
                [hh, ww])
 
 
-def verify_gradients(seed: int = 0, instances: int = 100) -> SuiteResult:
+def verify_gradients(seed: int, instances: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst_op = 0.0
     checked = 0
@@ -205,8 +205,7 @@ def _adv_head_error(seed: int) -> float:
     return worst
 
 
-def verify_closed_form(seed: int = 0, instances: int = 1000,
-                       samples: int = 10 ** 4) -> SuiteResult:
+def verify_closed_form(seed: int, instances: int, samples: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in range(instances):
@@ -228,7 +227,7 @@ def verify_closed_form(seed: int = 0, instances: int = 1000,
                        f"{worst:.3g}")
 
 
-def verify_reductions(seed: int = 0, instances: int = 2000) -> SuiteResult:
+def verify_reductions(seed: int, instances: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in range(instances):
@@ -253,7 +252,7 @@ def verify_reductions(seed: int = 0, instances: int = 2000) -> SuiteResult:
                        f"{instances} instances, worst eps=0 gap {worst:.3g}")
 
 
-def verify_recognition_separation(seed: int = 0, instances: int = 10 ** 4) -> SuiteResult:
+def verify_recognition_separation(seed: int, instances: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     recognized = 0
     for k in range(instances):
@@ -289,7 +288,7 @@ def verify_recognition_separation(seed: int = 0, instances: int = 10 ** 4) -> Su
         f"contrapositive clean over {instances} probes")
 
 
-def verify_energy_bound(seed: int = 0, instances: int = 10 ** 4) -> SuiteResult:
+def verify_energy_bound(seed: int, instances: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst_eq = 0.0
     for k in range(instances):
@@ -326,22 +325,19 @@ def verify_energy_bound(seed: int = 0, instances: int = 10 ** 4) -> SuiteResult:
                        f"both tightness cases exact")
 
 
-def verify_uniform_identity(seed: int = 0) -> SuiteResult:
+def verify_uniform_identity(seed: int) -> SuiteResult:
     V = 11
     cfg = LMConfig(vocab_size=V, embed_dim=6, init_range=0.0)
     params = init_params(cfg, seed)
     ids = np.random.default_rng(seed).integers(0, V, size=240)
-    try:
-        ppl = evaluate(params, batchify(ids, 4, 6))
-    except EvaluationError as e:
-        return SuiteResult("uniform-identity", False, str(e))
+    ppl = evaluate(params, batchify(ids, 4, 6))
     rel = abs(ppl - V) / V
     return SuiteResult("uniform-identity", rel < 0.01,
                        f"zero-weight perplexity {ppl:.6g} vs |V|={V} "
                        f"(rel err {rel:.3g})")
 
 
-def run_all(seed: int = 0, scale: float = 1.0) -> list[SuiteResult]:
+def run_all(seed: int, scale: float) -> list[SuiteResult]:
     """Run every suite; scale < 1 shrinks instance counts for smoke runs."""
     if not 0 < scale < math.inf:
         raise ConfigError(f"scale must be finite and positive, got {scale}")

@@ -182,7 +182,8 @@ class TestBruteForce:
             assert abs(brute - closed) < 1e-9
 
     def test_degenerate_vocab(self):
-        assert brute_force_advsoft(0, np.ones((1, 2)), np.ones(2), 1.0, 10) == 1.0
+        assert brute_force_advsoft(0, np.ones((1, 2)), np.ones(2), 1.0, 10,
+                                   np.random.default_rng(9)) == 1.0
 
 
 def _analytic_grads(W, H, flat, eps_vec):

@@ -195,9 +195,10 @@ class TestTrainCommand:
                    "--bptt-len", "30"])
         assert rc == 2
         out, err = capsys.readouterr()
-        assert out.splitlines()[-1] == LOG_HEADER  # no epoch ran
-        assert "validation stream" in err and "Traceback" not in err
-        assert not (tmp_path / "o" / "model.bin").exists()
+        assert out == ""  # no vocab_size= line, no log header
+        assert "one window" in err and "62 tokens" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_corpus_file(self, tmp_path, capsys):
         rc = main(["train", "--corpus", str(tmp_path / "nope.txt"),
@@ -224,7 +225,7 @@ class TestTrainCommand:
                  "--epochs", "1"]
         analyze = ["analyze", "--checkpoint", str(trained_run["out"] / "model.bin"),
                    "--out", str(tmp_path / "a"), "--num-random", "5"]
-        # 80 tokens: enough to batchify at B=32, L=32, too few for one window
+        # 80 tokens: fewer than one window of B=32, L=32, so batchify rejects it
         short = ["--checkpoint", str(trained_run["out"] / "model.bin"),
                  "--corpus", str(corpus)]
         cases = [(train + ["--seed", "-4"], None),

@@ -125,17 +125,24 @@ class TestBatchify:
 
     def test_target_count_arithmetic(self):
         rng = np.random.default_rng(7)
+        rejected = 0
         for _ in range(50):
-            n = int(rng.integers(10, 400))
+            n = int(rng.integers(1, 120))
             B = int(rng.integers(1, 5))
             L = int(rng.integers(1, 9))
-            if n < 2 * B:
+            ids = rng.integers(0, 50, size=n)
+            if n < B * (L + 1):  # exactly the streams without a window
+                with pytest.raises(ConfigError, match="one window"):
+                    batchify(ids, B, L)
+                rejected += 1
                 continue
-            bs = batchify(rng.integers(0, 50, size=n), B, L)
+            bs = batchify(ids, B, L)
+            assert bs.num_windows >= 1
             emitted = sum(y.size for _, y in bs.windows())
             assert emitted == bs.num_targets == B * L * bs.num_windows
             steps = n // B
             assert bs.num_windows == (steps - 1) // L
+        assert 0 < rejected < 50
 
     def test_columns_reconstruct_contiguously(self):
         rng = np.random.default_rng(3)
@@ -181,3 +188,5 @@ class TestBatchStreamType:
         bs = BatchStream(data, 2)
         assert bs.batch_size == 2
         assert bs.num_windows == 2
+        with pytest.raises(ConfigError, match="one window"):
+            BatchStream(data[:1], 2)

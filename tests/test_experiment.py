@@ -125,6 +125,6 @@ class TestRunOne:
 
         monkeypatch.setattr(experiment, "train", diverge)
         monkeypatch.setattr(experiment, "nearest_neighbor_distances", no_distances)
-        ids = np.arange(40) % 5
+        ids = np.arange(136) % 5  # one window of B=8, L=16
         with pytest.raises(NumericError):
             run_one(ids, ids, 5, ADV_ALPHA, 1)

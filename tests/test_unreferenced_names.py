@@ -8,7 +8,8 @@ count, so a method shares its name with any other use of that name.
 
 Every defaulted parameter of a function in src/advlm must be passed by some
 call in src/advlm, perfbench or tools, by keyword or by position, to a
-function of the same name (a class name stands for its __init__).
+function of the same name (a class name stands for its __init__). It must
+also be left out by some such call, or its default is never used.
 """
 
 import ast
@@ -100,26 +101,44 @@ def _defaulted_params(tree):
     return out
 
 
-def _passed(trees):
-    """The (function name, keyword) pairs the calls in trees pass, and per
-    function name the most positional arguments one call passes."""
-    keywords, widest = set(), {}
+def _calls(trees):
+    """Per function name, (positional count, keywords) of each call in trees.
+    A call that unpacks *args or **kwargs is left out: what it passes is not
+    known."""
+    calls = {}
     for node in (n for tree in trees for n in ast.walk(tree)):
-        if not isinstance(node, ast.Call):
+        if not isinstance(node, ast.Call) or any(
+                isinstance(a, ast.Starred) for a in node.args) or any(
+                kw.arg is None for kw in node.keywords):
             continue
         f = node.func
         name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-        keywords.update((name, kw.arg) for kw in node.keywords if kw.arg)
-        widest[name] = max(widest.get(name, 0), len(node.args))
-    return keywords, widest
+        calls.setdefault(name, []).append(
+            (len(node.args), {kw.arg for kw in node.keywords}))
+    return calls
+
+
+def _knobs(module_trees, caller_trees, keep):
+    """The defaulted (function, parameter) pairs for which keep(passed by
+    some call, left out by some call) holds."""
+    calls = _calls(caller_trees)
+    out = set()
+    for tree in module_trees:
+        for fn, param, pos in _defaulted_params(tree):
+            passes = [param in keywords or (pos is not None and npos > pos)
+                      for npos, keywords in calls.get(fn, [])]
+            if (fn, param) not in KNOB_EXEMPT and keep(any(passes),
+                                                       not all(passes)):
+                out.add((fn, param))
+    return sorted(out)
 
 
 def unset_knobs(module_trees, caller_trees):
-    keywords, widest = _passed(caller_trees)
-    return sorted({(fn, param) for tree in module_trees
-                   for fn, param, pos in _defaulted_params(tree)
-                   if (fn, param) not in keywords | KNOB_EXEMPT
-                   and (pos is None or widest.get(fn, 0) <= pos)})
+    return _knobs(module_trees, caller_trees, lambda passed, omitted: not passed)
+
+
+def always_set_knobs(module_trees, caller_trees):
+    return _knobs(module_trees, caller_trees, lambda passed, omitted: not omitted)
 
 
 def _parse(*roots):
@@ -136,3 +155,14 @@ def test_knob_guard_flags_a_default_no_call_passes():
                      "class K:\n    def __init__(self, x=0):\n        pass\n\n"
                      "f(0, 1, e=5)\nK(7)\n")
     assert unset_knobs([tree], [tree]) == [("f", "c"), ("f", "d")]
+
+
+def test_every_defaulted_parameter_is_left_out_by_a_caller():
+    assert always_set_knobs(_parse(PACKAGE), _parse(*CALLERS)) == []
+
+
+def test_knob_guard_flags_a_default_every_call_passes():
+    tree = ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+                     "class K:\n    def __init__(self, x=0):\n        pass\n\n"
+                     "f(0, 1, e=5)\nf(0, 2, d=6, e=7)\nK(7)\nf(*[0])\n")
+    assert always_set_knobs([tree], [tree]) == [("K", "x"), ("f", "b"), ("f", "e")]
