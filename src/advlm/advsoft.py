@@ -48,11 +48,6 @@ class AdvConfig:
             raise ConfigError(f"cannot parse adv value in {text!r}")
         return cls(head, value)
 
-    def __str__(self) -> str:
-        if self.mode == "off":
-            return "off"
-        return f"{self.mode}:{self.value:g}"
-
 
 @dataclass
 class AdvLossBatch:
@@ -96,7 +91,7 @@ def advsoft_prob(i: int, W: np.ndarray, h: np.ndarray, eps: float) -> float:
     from the head the training loss runs (nll_rows on one context row)."""
     h = np.asarray(h, dtype=np.float64)
     _, nll = ad.nll_rows(Tensor(h[None]), Tensor(W), [i],
-                         [eps * np.linalg.norm(h)], [1.0])
+                         [eps * np.linalg.norm(h)])
     return float(np.exp(-nll[0]))
 
 
@@ -159,24 +154,20 @@ def brute_force_advsoft(i: int, W: np.ndarray, h: np.ndarray, eps: float,
 
 def adv_nll_loss(params: LMParams, contexts: Tensor, targets: np.ndarray,
                  config: AdvConfig) -> AdvLossBatch:
-    """Window-mean NLL and the total over its rows, with each target logit
-    lowered by the detached eps*||h|| offset. targets is [L x B]; contexts
-    rows are the matching time-major positions."""
+    """Window-mean NLL (nll_rows' recorded loss) and the total over its
+    rows, with each target logit lowered by the detached eps*||h|| offset.
+    targets is [L x B]; contexts rows are the matching time-major
+    positions. nll_rows checks the target ids."""
     targets = np.asarray(targets)
     flat = targets.reshape(-1)
     if contexts.shape[0] != flat.size:
         raise ShapeError(
             f"contexts rows {contexts.shape[0]} != target positions {flat.size}"
         )
-    V = params.config.vocab_size
-    if flat.size and (flat.min() < 0 or flat.max() >= V):
-        raise IndexError(f"target id out of range for vocab size {V}")
-
     eps = epsilons(config, params.embedding.values[flat])
     # constant offsets: no gradient through ||h|| or ||w_target||
-    shift = eps * np.linalg.norm(contexts.values, axis=1) if eps.any() else eps
-    loss, nll = ad.nll_rows(contexts, params.embedding, flat, shift,
-                            np.full(flat.size, 1.0 / flat.size))
+    shift = eps * np.linalg.norm(contexts.values, axis=1)
+    loss, nll = ad.nll_rows(contexts, params.embedding, flat, shift)
     finite = np.isfinite(nll)
     if not finite.all():
         n = int(np.argmin(finite))

@@ -72,7 +72,7 @@ class Tape:
         """Accumulate d(loss)/d(leaf) into .grad of every recorded leaf, i.e.
         every op input that no record on this tape produced. On a training
         window's tape the leaves are exactly the parameters: the incoming
-        state and the head's shifts and weights are plain arrays.
+        state and the head's shifts are plain arrays.
 
         Each call runs one full reverse pass. A leaf without a .grad adopts
         its summed adjoint as .grad; otherwise the adjoint is added into
@@ -240,48 +240,48 @@ def lstm_layer(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor,
     return _record(hs[B:], (x, w_x, w_h, bias), _back), hs[n:], cs[n:]
 
 
-def nll_rows(h: Tensor, w: Tensor, targets, shift, weights):
-    """Weighted softmax cross-entropy of the logits h @ w.T with the target
-    logit of row r lowered by the constant shift[r], as one op.
+def nll_rows(h: Tensor, w: Tensor, targets, shift):
+    """Window-mean softmax cross-entropy of the logits h @ w.T with the
+    target logit of row r lowered by the constant shift[r], as one op.
 
     Returns (loss, nll). nll is a plain array with
     nll[r] = logsumexp(z[r]) - z[r, targets[r]], where z = h @ w.T and
     z[r, targets[r]] -= shift[r]; loss is the recorded 0-d Tensor
-    sum(weights * nll). No gradient flows through shift or weights.
+    mean(nll) over the N >= 1 rows. No gradient flows through shift.
 
     z is formed one block of HEAD_BLOCK_ELEMS // V rows at a time, so the
     N x V matrix never exists. While a tape is open, each block also forms
-    q = (softmax(z) - onehot(targets)) * weights in its buffer and adds its
-    share of dh = q @ w and dw = q.T @ h. Backward only hands these over,
-    scaled by the upstream gradient, so it runs once: a second backward
-    through the same op raises RuntimeError.
+    q = (softmax(z) - onehot(targets)) / N in its buffer and adds its share
+    of dh = q @ w and dw = q.T @ h. Backward only hands these over, scaled
+    by the upstream gradient, so it runs once: a second backward through
+    the same op raises RuntimeError.
     """
     hv, wv = h.values, w.values
-    if hv.ndim != 2 or wv.ndim != 2 or hv.shape[1] != wv.shape[1] or wv.shape[0] < 1:
+    if (hv.ndim != 2 or wv.ndim != 2 or hv.shape[1] != wv.shape[1]
+            or hv.shape[0] < 1 or wv.shape[0] < 1):
         raise ShapeError(
-            f"nll_rows: expected (N,d) contexts and (V,d) with V >= 1, got "
+            f"nll_rows: expected (N,d) contexts and (V,d) with N, V >= 1, got "
             f"{hv.shape} and {wv.shape}"
         )
     n, V = hv.shape[0], wv.shape[0]
     targets = np.asarray(targets, dtype=np.int64)
     shift = np.asarray(shift, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if targets.shape != (n,) or shift.shape != (n,) or weights.shape != (n,):
+    if targets.shape != (n,) or shift.shape != (n,):
         raise ShapeError(
-            f"nll_rows: need {n} targets, shifts and weights, got shapes "
-            f"{targets.shape}, {shift.shape} and {weights.shape}"
+            f"nll_rows: need {n} targets and shifts, got shapes "
+            f"{targets.shape} and {shift.shape}"
         )
-    if n and (targets.min() < 0 or targets.max() >= V):
+    if targets.min() < 0 or targets.max() >= V:
         bad = int(targets[(targets < 0) | (targets >= V)][0])
         raise IndexError(f"nll_rows: target id {bad} out of range [0, {V})")
     taped = _active is not None
+    inv_n = 1.0 / n
     out = np.empty(n)
     dh = np.empty(hv.shape) if taped else None
     dw = None
     step = max(1, HEAD_BLOCK_ELEMS // V)
     buf = np.empty((min(n, step), V))  # every block's logits, in turn
-    # an empty head still runs one (empty) block, so dw is V x d zeros
-    for lo in range(0, max(n, 1), step):
+    for lo in range(0, n, step):
         blk = slice(lo, lo + step)
         hb, t = hv[blk], targets[blk]
         rows = np.arange(len(t))
@@ -294,10 +294,9 @@ def nll_rows(h: Tensor, w: Tensor, targets, shift, weights):
         s = z.sum(axis=1, keepdims=True)
         out[blk] = (m + np.log(s)).reshape(-1) - picked
         if taped:  # q in z's buffer: the head holds one block array
-            wb = weights[blk]
             z /= s
-            z *= wb[:, None]
-            z[rows, t] -= wb
+            z *= inv_n
+            z[rows, t] -= inv_n
             np.matmul(z, wv, out=dh[blk])
             if dw is None:
                 dw = z.T @ hb
@@ -316,4 +315,4 @@ def nll_rows(h: Tensor, w: Tensor, targets, shift, weights):
                 a *= g
         return grads
 
-    return _record((out * weights).sum(), (h, w), _back), out
+    return _record((out * inv_n).sum(), (h, w), _back), out

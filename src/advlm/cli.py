@@ -148,10 +148,14 @@ def cmd_train(args) -> int:
                          input_noise_start=cfg["input_noise_start"],
                          input_noise_end=cfg["input_noise_end"],
                          eval_interval=cfg["eval_interval"])
-    train_stream = batchify(vocab.encode(train_tokens), cfg["batch_size"],
-                            cfg["bptt_len"])
-    valid_stream = batchify(vocab.encode(valid_tokens), cfg["batch_size"],
-                            cfg["bptt_len"])
+    streams = []
+    for side, tokens in (("training", train_tokens), ("validation", valid_tokens)):
+        try:
+            streams.append(batchify(vocab.encode(tokens), cfg["batch_size"],
+                                    cfg["bptt_len"]))
+        except ConfigError as exc:
+            raise ConfigError(f"{side} side: {exc}") from exc
+    train_stream, valid_stream = streams
     os.makedirs(cfg["out"], exist_ok=True)
     vocab.save(os.path.join(cfg["out"], "vocab.tsv"))
     write_text_atomic(os.path.join(cfg["out"], "config.txt"), serialize_config(cfg))

@@ -123,8 +123,8 @@ def _op_cases(rng):
     hnorm = np.linalg.norm(hh.values, axis=1)
     for adv in (AdvConfig("off"), AdvConfig("fixed", 0.7), AdvConfig("adaptive", 0.3)):
         yield (f"nll_rows {adv.mode}",
-               lambda s=epsilons(adv, ww.values[y]) * hnorm, r=rng.normal(size=n):
-                   ad.nll_rows(hh, ww, y, s, r)[0],
+               lambda s=epsilons(adv, ww.values[y]) * hnorm:
+                   ad.nll_rows(hh, ww, y, s)[0],
                [hh, ww])
 
 
@@ -179,7 +179,7 @@ def verify_gradients(seed: int, instances: int) -> SuiteResult:
 def _adv_head_error(seed: int) -> float:
     """Taped gradients of the adversarial window-mean loss vs the
     closed-form softmax gradients, with the offsets held constant and the
-    rows weighted 1/count as the loss weights them."""
+    sum over rows divided by their count, as the window mean divides it."""
     rng = np.random.default_rng(seed + 999)
     worst = 0.0
     for mode in (AdvConfig("fixed", 0.7), AdvConfig("adaptive", 0.1)):

@@ -76,6 +76,7 @@ class TestAcceptance:
         result, _ = timed(verify_energy_bound, seed=0, instances=10 ** 4)
         report(5, "probability energy bound", result.passed, result.detail)
 
+    @pytest.mark.slow
     def test_6_ab_experiment(self, ab_result, report):
         base = ab_result.summary(BASELINE_ALPHA)
         adv = ab_result.summary(ADV_ALPHA)
@@ -93,6 +94,7 @@ class TestAcceptance:
                f"gap {adv.gap:.3f} vs {base.gap:.3f}, "
                f"slowest run {slowest:.0f}s")
 
+    @pytest.mark.slow
     def test_7_strong_perturbation_underfits(self, ab_result, report):
         adv = ab_result.summary(ADV_ALPHA)
         high = ab_result.summary(HIGH_ALPHA)

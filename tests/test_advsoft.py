@@ -25,10 +25,12 @@ def _softmax(logits):
 
 
 class TestAdvConfig:
-    def test_parse_roundtrip(self):
-        for text in ("off", "fixed:0.5", "adaptive:0.005"):
+    def test_parse_specs(self):
+        for text, mode, value in (("off", "off", 0.0), ("fixed:0.5", "fixed", 0.5),
+                                  (" adaptive:0.005 ", "adaptive", 0.005),
+                                  ("adaptive:0.1234567", "adaptive", 0.1234567)):
             cfg = AdvConfig.parse(text)
-            assert AdvConfig.parse(str(cfg)) == cfg
+            assert (cfg.mode, cfg.value) == (mode, value)
 
     def test_parse_rejects_garbage(self):
         for text in ("", "fixed", "adaptive:x", "pgd:3", "fixed:-1"):

@@ -196,7 +196,25 @@ class TestTrainCommand:
         assert rc == 2
         out, err = capsys.readouterr()
         assert out == ""  # no vocab_size= line, no log header
+        assert "validation side" in err
         assert "one window" in err and "62 tokens" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_training_side_without_window_exits_2_before_training(
+            self, tmp_path, capsys):
+        # 48 training tokens at B=2 are 24 steps, too few for one window of
+        # 30 + 1, while the 480 validation tokens hold 7 windows
+        make_corpus(tmp_path / "train.txt", num_lines=6)
+        make_corpus(tmp_path / "valid.txt")
+        rc = main(["train", "--train", str(tmp_path / "train.txt"),
+                   "--valid", str(tmp_path / "valid.txt"),
+                   "--out", str(tmp_path / "o"), "--epochs", "1",
+                   "--embed-dim", "8", "--batch-size", "2", "--bptt-len", "30"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "training side" in err and "62 tokens" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
