@@ -2,7 +2,7 @@
 
 Tensors wrap float64 numpy arrays. Operations execute eagerly; while a Tape
 is active (``with Tape():``) every op is recorded, so that
-``Tape.backward(loss)`` can replay the records in reverse and accumulate
+``Tape.backward(loss)`` can replay the records in reverse, once, and set
 ``.grad`` on every leaf the loss depends on. Without an active tape the same
 functions just compute values, which is how evaluation runs without gradient
 bookkeeping.
@@ -47,14 +47,15 @@ class Tensor:
 class Tape:
     """Ordered record of executed ops, replayed in reverse by backward().
 
-    A tape is built per minibatch and discarded after the gradient step.
-    Nothing it records points back at it, so dropping the last reference
-    frees it and its closures at once. Tapes do not nest: one tape is open
-    at a time.
+    A tape is built per minibatch, runs backward once and is discarded
+    after the gradient step. Nothing it records points back at it, so
+    dropping the last reference frees it and its closures at once. Tapes do
+    not nest: one tape is open at a time.
     """
 
     def __init__(self):
         self.records = []  # (out, inputs, backward_fn), in execution order
+        self.spent = False  # backward has run
 
     def __enter__(self):
         global _active
@@ -69,18 +70,14 @@ class Tape:
         return False
 
     def backward(self, loss: "Tensor") -> None:
-        """Accumulate d(loss)/d(leaf) into .grad of every recorded leaf, i.e.
-        every op input that no record on this tape produced. On a training
+        """Set .grad of every recorded leaf, i.e. every op input that no
+        record on this tape produced, to d(loss)/d(leaf). On a training
         window's tape the leaves are exactly the parameters: the incoming
         state and the head's shifts are plain arrays.
 
-        Each call runs one full reverse pass. A leaf without a .grad adopts
-        its summed adjoint as .grad; otherwise the adjoint is added into
-        .grad in place. Repeated calls without clearing grads accumulate
-        only when every recorded op keeps its inputs (gather_rows,
-        lstm_layer, weighted_sum); nll_rows hands over the gradients it
-        formed in its forward, so a second pass through it raises
-        RuntimeError.
+        A tape runs backward once: ops may hand over gradients they formed
+        in their forward (nll_rows does), so a second call raises
+        RuntimeError and leaves every .grad as the first call set it.
         """
         if loss.values.shape != ():
             raise ShapeError(
@@ -89,8 +86,9 @@ class Tape:
         outs = {id(out) for out, _, _ in self.records}
         if id(loss) not in outs:
             raise RuntimeError("loss was not recorded on this tape")
-        # Per-call adjoints, so a second backward() does not re-propagate the
-        # first call's intermediate gradients.
+        if self.spent:
+            raise RuntimeError("a tape runs backward once")
+        self.spent = True
         adjoint = {id(loss): np.ones((), dtype=np.float64)}
         leaves = {}
         for out, inputs, backward_fn in reversed(self.records):
@@ -106,10 +104,7 @@ class Tape:
                     if key not in outs:
                         leaves[key] = t
         for key, t in leaves.items():
-            if t.grad is None:
-                t.grad = adjoint[key]
-            else:
-                t.grad += adjoint[key]
+            t.grad = adjoint[key]
 
 
 def _record(values: np.ndarray, inputs, backward_fn) -> Tensor:
@@ -252,9 +247,8 @@ def nll_rows(h: Tensor, w: Tensor, targets, shift):
     z is formed one block of HEAD_BLOCK_ELEMS // V rows at a time, so the
     N x V matrix never exists. While a tape is open, each block also forms
     q = (softmax(z) - onehot(targets)) / N in its buffer and adds its share
-    of dh = q @ w and dw = q.T @ h. Backward only hands these over, scaled
-    by the upstream gradient, so it runs once: a second backward through
-    the same op raises RuntimeError.
+    of dh = q @ w and dw = q.T @ h. Backward hands these over, scaled in
+    place by the upstream gradient, which is why a tape runs backward once.
     """
     hv, wv = h.values, w.values
     if (hv.ndim != 2 or wv.ndim != 2 or hv.shape[1] != wv.shape[1]
@@ -302,17 +296,11 @@ def nll_rows(h: Tensor, w: Tensor, targets, shift):
                 dw = z.T @ hb
             else:
                 dw += z.T @ hb
-    held = [dh, dw]  # _back's only references to the gradients
 
     def _back(g):
-        if not held:
-            raise RuntimeError("nll_rows: backward already handed over this "
-                               "op's gradients")
-        grads = tuple(held)
-        held.clear()
         if g != 1.0:
-            for a in grads:
-                a *= g
-        return grads
+            dh[...] *= g
+            dw[...] *= g
+        return dh, dw
 
     return _record((out * inv_n).sum(), (h, w), _back), out

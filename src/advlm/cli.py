@@ -192,7 +192,8 @@ def _eval_stream(args, vocab: Vocab) -> BatchStream:
 
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    ppl = evaluate(params, _eval_stream(args, _load_vocab_for(args, params)))
+    ppl = evaluate(params, _eval_stream(args, _load_vocab_for(args, params)),
+                   f"--split {args.split}")
     print(f"perplexity={ppl:.6g}")
     return 0
 

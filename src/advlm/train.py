@@ -65,9 +65,16 @@ class EpochStats:
     tokens: int
     mean_eps: float
 
-    @property
-    def ppl(self) -> float:
-        return math.exp(self.nll / self.tokens)
+
+def perplexity(nll: float, tokens: int, side: str) -> float:
+    """exp(nll / tokens), or NumericError naming the side if that is not finite."""
+    try:
+        ppl = math.exp(nll / tokens)
+    except OverflowError:
+        ppl = math.inf
+    if not math.isfinite(ppl):
+        raise NumericError(f"{side} perplexity is not finite: mean NLL {nll / tokens:.6g}")
+    return ppl
 
 
 @dataclass
@@ -164,12 +171,13 @@ def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
     return EpochStats(total_nll, tokens, eps_sum / tokens)
 
 
-def evaluate(params: LMParams, stream: BatchStream) -> float:
-    """Perplexity exp(total NLL / tokens) under the plain softmax."""
+def evaluate(params: LMParams, stream: BatchStream, side: str = "evaluation") -> float:
+    """Perplexity exp(total NLL / tokens) under the plain softmax; side names
+    the stream if that is not finite (NumericError)."""
     off = AdvConfig("off")
     total = sum(adv_nll_loss(params, contexts, targets, off).total
                 for contexts, targets in stream_contexts(params, stream))
-    return math.exp(total / stream.num_targets)
+    return perplexity(total, stream.num_targets, side)
 
 
 def train(params: LMParams, train_stream: BatchStream,
@@ -188,13 +196,14 @@ def train(params: LMParams, train_stream: BatchStream,
         stats = train_epoch(params, train_stream, config, epoch)
         wall = time.perf_counter() - t0
         last = epoch == config.epochs - 1
+        train_ppl = perplexity(stats.nll, stats.tokens, f"epoch {epoch}: training")
         if valid_stream is not None and (epoch % config.eval_interval == 0 or last):
-            valid_ppl = evaluate(params, valid_stream)
+            valid_ppl = evaluate(params, valid_stream, f"epoch {epoch}: validation")
         else:
             valid_ppl = math.nan
         std = noise_schedule(epoch, config.epochs, config.input_noise_start,
                              config.input_noise_end)
-        row = LogRow(epoch, stats.ppl, valid_ppl, wall, std, stats.mean_eps)
+        row = LogRow(epoch, train_ppl, valid_ppl, wall, std, stats.mean_eps)
         log.rows.append(row)
         if progress is not None:
             progress(row)

@@ -69,10 +69,9 @@ def _fd_check(build, tensors, rng) -> float:
 
     build() must construct the output from the tensors' current values so the
     same closure serves both the taped pass and the perturbed evaluations.
-    The output is reduced to a scalar with random weights of its shape.
+    The output is reduced to a scalar with random weights of its shape;
+    backward sets each tensor's .grad, whatever it held before.
     """
-    for t in tensors:
-        t.grad = None
     with Tape() as tape:
         out = build()
         weights = rng.normal(size=out.shape)

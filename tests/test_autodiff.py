@@ -31,8 +31,6 @@ def _reduction_weights(shape):
 
 
 def _check_grads(op, tensors, tol=OP_TOL):
-    for t in tensors:
-        t.grad = None
     with ad.Tape() as tape:
         loss = _loss_of(op, *tensors)
     tape.backward(loss)
@@ -249,14 +247,24 @@ class TestBackward:
             with pytest.raises(ShapeError):
                 tape.backward(y)
 
-    def test_repeated_backward_accumulates(self):
-        # holds for ops that keep their inputs; nll_rows is single-use
+    def test_second_backward_raises(self):
+        # a tape runs backward once; the refused call leaves .grad as it was
         m = ad.Tensor(np.ones((2, 2)))
         with ad.Tape() as tape:
             loss = ad.weighted_sum(ad.gather_rows(m, [1]), [[1.0, 2.0]])
         tape.backward(loss)
+        with pytest.raises(RuntimeError, match="once"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(m.grad, [[0.0, 0.0], [1.0, 2.0]])
+
+    def test_backward_replaces_a_stale_grad(self):
+        # backward sets .grad: what a leaf held before is not added to
+        m = ad.Tensor(np.ones((2, 2)))
+        m.grad = np.full((2, 2), 7.0)
+        with ad.Tape() as tape:
+            loss = ad.weighted_sum(ad.gather_rows(m, [1, 1]), [[1.0, 2.0], [3.0, 4.0]])
         tape.backward(loss)
-        np.testing.assert_array_equal(m.grad, [[0.0, 0.0], [2.0, 4.0]])
+        np.testing.assert_array_equal(m.grad, [[0.0, 0.0], [4.0, 6.0]])
 
     def test_untaped_loss_rejected(self):
         loss = ad.weighted_sum(ad.Tensor([1.0]), [1.0])
@@ -444,19 +452,21 @@ class TestNllRows:
                         np.zeros(3))
 
     def test_second_backward_raises(self):
-        # the forward forms the gradients and backward hands them over, so
-        # the op runs backward once; a second pass must not reuse them
+        # the forward forms the gradients and backward hands them over; the
+        # tape's one-pass rule keeps a second pass from reusing them
         h = ad.Tensor(np.ones((2, 3)))
         w = ad.Tensor(np.eye(4, 3))
         with ad.Tape() as tape:
             loss = ad.nll_rows(h, w, [1, 3], [0.5, 0.0])[0]
         tape.backward(loss)
-        with pytest.raises(RuntimeError):
+        grads = h.grad.copy(), w.grad.copy()
+        with pytest.raises(RuntimeError, match="once"):
             tape.backward(loss)
+        np.testing.assert_array_equal(h.grad, grads[0])
+        np.testing.assert_array_equal(w.grad, grads[1])
 
     @staticmethod
     def _grads(h, w, y, shift):
-        h.grad = w.grad = None
         with ad.Tape() as tape:
             loss, nll = ad.nll_rows(h, w, y, shift)
         tape.backward(loss)

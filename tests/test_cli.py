@@ -276,6 +276,30 @@ class TestTrainCommand:
             assert "error:" in err and "Traceback" not in err, (argv, env)
         assert not (tmp_path / "o").exists()
 
+    def test_non_finite_perplexity_exits_3(self, trained_run, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        make_corpus(corpus, num_lines=20)
+        train = ["train", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                 "--embed-dim", "8", "--batch-size", "2", "--bptt-len", "4",
+                 "--epochs", "1"]
+        # the embedding x1000 puts the plain validation NLL past exp's range
+        params = load_checkpoint(str(trained_run["out"] / "model.bin"))
+        params.embedding.values *= 1000.0
+        save_checkpoint(params, str(tmp_path / "model.bin"))
+        scaled = ["eval", "--checkpoint", str(tmp_path / "model.bin"),
+                  "--vocab", str(trained_run["out"] / "vocab.tsv"),
+                  "--corpus", str(trained_run["corpus"]), "--split", "valid",
+                  "--batch-size", "2", "--bptt-len", "4"]
+        cases = [(train + ["--adv", "adaptive:1e300"], "epoch 0: training"),
+                 (train + ["--learning-rate", "1e308"], "epoch 0: training"),
+                 (scaled, "--split valid")]
+        for argv, side in cases:
+            with np.errstate(all="ignore"):  # the overflows under test
+                assert main(argv) == 3, argv
+            err = capsys.readouterr().err
+            assert f"error: {side} perplexity is not finite" in err, argv
+            assert "Traceback" not in err, argv
+
     def test_memory_error_exits_2(self, trained_run, tmp_path, monkeypatch,
                                   capsys):
         # a size the machine cannot hold fails in numpy with MemoryError;

@@ -6,11 +6,13 @@ import importlib.util
 import pathlib
 
 import numpy as np
+import pytest
 
 import advlm.train
-from advlm.advsoft import AdvConfig
+from advlm.advsoft import AdvConfig, adv_nll_loss
+from advlm.autodiff import Tape
 from advlm.corpus import batchify
-from advlm.model import LMConfig, init_params
+from advlm.model import LMConfig, forward, init_params, zero_state
 from advlm.train import TrainConfig
 
 _PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -29,7 +31,17 @@ def test_traced_training_counts_one_record_per_model_op():
     tracer.install()
     try:
         advlm.train.train_epoch(params, stream, tcfg, 0)
+        # one more window by hand: a tape runs backward once, also through
+        # the tracer's counted(tape, loss) wrapper, and the refused call
+        # adds no count
+        inputs, targets = next(stream.windows())
+        with Tape() as tape:
+            contexts, _ = forward(params, inputs, zero_state(params.config, 2))
+            loss = adv_nll_loss(params, contexts, targets, tcfg.adv).loss
+        tape.backward(loss)
+        with pytest.raises(RuntimeError):
+            tape.backward(loss)
     finally:
         tracer.restore()
-    assert tracer.records_per_backward == [3, 3, 3]
-    assert tracer.leaf_ratios == [1.0, 1.0, 1.0]
+    assert tracer.records_per_backward == [3, 3, 3, 3]
+    assert tracer.leaf_ratios == [1.0, 1.0, 1.0, 1.0]

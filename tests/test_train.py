@@ -21,6 +21,7 @@ from advlm.train import (
     TrainLog,
     evaluate,
     noise_schedule,
+    perplexity,
     sgd_step,
     train,
     train_epoch,
@@ -304,6 +305,12 @@ class TestTrainEpoch:
 
 
 class TestEvaluate:
+    def test_non_finite_perplexity_raises(self):
+        assert perplexity(2 * math.log(3.0), 2, "x") == pytest.approx(3.0, rel=1e-15)
+        for nll in (710.0, math.inf, math.nan):  # exp(710) overflows
+            with pytest.raises(NumericError, match="validation perplexity"):
+                perplexity(nll, 1, "validation")
+
     def test_uniform_model_gives_vocab_size(self):
         cfg = LMConfig(vocab_size=7, embed_dim=4, init_range=0.0)
         params = init_params(cfg, 0)
