@@ -166,7 +166,9 @@ def lstm_layer(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor,
     stay exactly all-zero. Returns (hs, h_last, c_last): hs [(L*B) x H] is
     recorded on inputs (x, w_x, w_h, bias), which gradients reach by
     backprop through time; h_last and c_last are plain arrays, because a
-    window is the unit of truncated BPTT.
+    window is the unit of truncated BPTT. Only the backward pass reads every
+    step's gates and tanh(c), so with no tape open the op keeps one step of
+    them, in a B-row slot each step overwrites.
     """
     xv, wh = x.values, w_h.values
     B, H = h0.shape
@@ -185,18 +187,21 @@ def lstm_layer(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor,
     half = np.full(4 * H, 0.5)
     half[2 * H:3 * H] = 1.0
     lift = 1.0 - half
-    pre = xv @ w_x.values + bias.values
+    pre = xv @ w_x.values
+    pre += bias.values
     pre[:, H:2 * H] += 1.0
     pre *= half
     wh_half = wh * half
-    acts = np.empty((n, 4 * H))
-    tcs = np.empty((n, H))  # tanh of every step's c
+    keep = _active is not None  # every step's gates, for _back
+    acts = np.empty((n if keep else B, 4 * H))
+    tcs = np.empty((n if keep else B, H))  # tanh of each kept step's c
     hs = np.empty((n + B, H))  # h0, then every step's h
     cs = np.empty((n + B, H))  # c0, then every step's c
     hs[:B], cs[:B] = h0, c0
     for lo in range(0, n, B):
         now, nxt = slice(lo, lo + B), slice(lo + B, lo + 2 * B)
-        a = acts[now]
+        slot = now if keep else slice(0, B)
+        a, tc = acts[slot], tcs[slot]
         np.matmul(hs[now], wh_half, out=a)
         a += pre[now]
         np.tanh(a, out=a)
@@ -204,8 +209,8 @@ def lstm_layer(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor,
         a += lift
         np.multiply(a[:, H:2 * H], cs[now], out=cs[nxt])
         cs[nxt] += a[:, :H] * a[:, 2 * H:3 * H]
-        np.tanh(cs[nxt], out=tcs[now])
-        np.multiply(a[:, 3 * H:], tcs[now], out=hs[nxt])
+        np.tanh(cs[nxt], out=tc)
+        np.multiply(a[:, 3 * H:], tc, out=hs[nxt])
 
     def _back(g):
         # d act / d pre: s(1-s) for the sigmoid gates, 1-g^2 for g

@@ -162,10 +162,14 @@ def cmd_train(args) -> int:
     params = init_params(lm_cfg, cfg["seed"])
     print(f"vocab_size={len(vocab)}")
     print(LOG_HEADER)
-    log = train(params, train_stream, valid_stream, tr_cfg,
-                progress=lambda row: print(row.as_csv(), flush=True))
-    save_checkpoint(params, os.path.join(cfg["out"], "model.bin"))
-    log.save(os.path.join(cfg["out"], "log.csv"))
+
+    def epoch_done(log):
+        # both writers are atomic: an interrupted run keeps its last epoch
+        print(log.rows[-1].as_csv(), flush=True)
+        save_checkpoint(params, os.path.join(cfg["out"], "model.bin"))
+        log.save(os.path.join(cfg["out"], "log.csv"))
+
+    train(params, train_stream, valid_stream, tr_cfg, progress=epoch_done)
     return 0
 
 

@@ -149,7 +149,8 @@ def noise_schedule(epoch: int, total_epochs: int, start: float, end: float) -> f
 
 def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
                 epoch: int) -> EpochStats:
-    """One pass over the stream: forward, adversarial loss, backward, step."""
+    """One pass over the stream: forward, adversarial loss, backward, step.
+    A window whose numbers overflow raises NumericError naming it."""
     std = noise_schedule(epoch, config.epochs, config.input_noise_start,
                          config.input_noise_end)
     rng = np.random.default_rng([config.seed, epoch])
@@ -158,12 +159,13 @@ def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
     eps_sum = 0.0
     for w_idx, (inputs, targets) in enumerate(stream.windows()):
         try:
-            with Tape() as tape:
-                contexts, state = forward(params, inputs, state, std, rng)
-                batch = adv_nll_loss(params, contexts, targets, config.adv)
-                tape.backward(batch.loss)
-            sgd_step(params, config.learning_rate, config.grad_clip)
-        except NumericError as e:
+            with np.errstate(over="raise"):
+                with Tape() as tape:
+                    contexts, state = forward(params, inputs, state, std, rng)
+                    batch = adv_nll_loss(params, contexts, targets, config.adv)
+                    tape.backward(batch.loss)
+                sgd_step(params, config.learning_rate, config.grad_clip)
+        except (NumericError, FloatingPointError) as e:
             raise NumericError(f"epoch {epoch}, window {w_idx}: {e}")
         total_nll += batch.total
         eps_sum += float(batch.epsilons.sum())
@@ -184,8 +186,9 @@ def train(params: LMParams, train_stream: BatchStream,
           valid_stream: BatchStream | None, config: TrainConfig,
           progress=None) -> TrainLog:
     """Run the full schedule; validation runs every eval_interval epochs and
-    on the last epoch, with NaN logged in between. A training stream whose
-    sizes are not config's is rejected before epoch 0."""
+    on the last epoch, with NaN logged in between. After each epoch,
+    progress (if given) gets the log so far. A training stream whose sizes
+    are not config's is rejected before epoch 0."""
     sizes = (train_stream.batch_size, train_stream.bptt_len)
     if sizes != (config.batch_size, config.bptt_len):
         raise ConfigError(f"training stream's (batch_size, bptt_len) {sizes} are not the "
@@ -206,5 +209,5 @@ def train(params: LMParams, train_stream: BatchStream,
         row = LogRow(epoch, train_ppl, valid_ppl, wall, std, stats.mean_eps)
         log.rows.append(row)
         if progress is not None:
-            progress(row)
+            progress(log)
     return log

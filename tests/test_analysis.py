@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from advlm.advsoft import AdvConfig, adv_nll_loss, advsoft_prob
-from advlm.autodiff import Tensor
+from advlm.autodiff import Tape, Tensor
 from advlm.analysis import (
     NN_BLOCK_ELEMS,
     _recognized_per_probe,
@@ -23,7 +23,7 @@ from advlm.analysis import (
 )
 from advlm.corpus import batchify
 from advlm.errors import NumericError, ShapeError
-from advlm.model import LMConfig, init_params
+from advlm.model import LMConfig, forward, init_params, zero_state
 
 
 def _row_scan(W):
@@ -482,3 +482,16 @@ class TestContextProbes:
         assert R.shape == (50, 4)
         med = np.median(np.linalg.norm(H, axis=1))
         np.testing.assert_allclose(np.linalg.norm(R, axis=1), med, rtol=1e-12)
+
+    def test_train_probes_are_the_taped_contexts_stacked(self):
+        cfg = LMConfig(vocab_size=6, embed_dim=4, num_layers=2)
+        params = init_params(cfg, 5)
+        stream = batchify(np.random.default_rng(15).integers(0, 6, 62), 2, 6)
+        (_, H), _ = context_probes(params, stream, num_random=3,
+                                   rng=np.random.default_rng(0))
+        state, want = zero_state(cfg, 2), []
+        for inputs, _ in stream.windows():
+            with Tape():
+                contexts, state = forward(params, inputs, state)
+            want.append(contexts.values)
+        assert np.array_equal(H, np.vstack(want))

@@ -358,6 +358,42 @@ class TestLstmLayer:
         grads = backward_fn(np.ones(hs.shape))
         assert [g.shape for g in grads] == [t.shape for t in args[:4]]
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_untaped_pass_equals_taped(self, layers):
+        # without a tape each step's gates go to one scratch slot; the
+        # values computed are the taped pass's, bit for bit
+        rng = np.random.default_rng(10)
+        L, B, H = 5, 3, 4
+        x = ad.Tensor(rng.uniform(-1, 1, (L * B, H)))
+        stack = [_lstm_args(rng, L, B, H, H, r=1.0)[1:] for _ in range(layers)]
+
+        def run():
+            out, last = x, []
+            for w_x, w_h, bias, h0, c0 in stack:
+                out, h, c = ad.lstm_layer(out, w_x, w_h, bias, h0, c0)
+                last += [h, c]
+            return [out.values] + last
+
+        with ad.Tape():
+            taped = run()
+        for got, want in zip(run(), taped, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_untaped_peak_memory_keeps_no_gate_history(self):
+        # n x 4H pre-activations, plus the h and c histories the op returns
+        # from; no n x 4H gate history and no second pre-activation array
+        L, B, H = 32, 32, 200
+        n = L * B
+        args = _lstm_args(np.random.default_rng(11), L, B, H, H)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            hs, _, _ = ad.lstm_layer(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hs.shape == (n, H)
+        assert peak < 2 * n * 4 * H * 8
+
     def test_shape_mismatch(self):
         x, w_x, w_h, bias, h0, c0 = _lstm_args(np.random.default_rng(9), 2, 2, 3, 4)
         with pytest.raises(ShapeError):

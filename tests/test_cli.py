@@ -3,18 +3,22 @@
 import json
 import math
 import struct
+import warnings
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
 import pytest
 
+import advlm.train
 from advlm import cli
 from advlm.cli import (TRAIN_SCHEMA, main, parse_config, resolve_seed,
                        serialize_config, split_tokens)
 from advlm.corpus import Vocab, batchify, read_tokens
-from advlm.errors import ConfigError
+from advlm.errors import ConfigError, NumericError
 from advlm.model import LMConfig, init_params, load_checkpoint, save_checkpoint
-from advlm.train import LOG_HEADER, TrainLog, evaluate
+from advlm.experiment import bundled_corpus_path
+from advlm.train import LOG_HEADER, TrainConfig, TrainLog, evaluate, train
 
 WORDS = "alpha bravo charlie delta echo foxtrot golf hotel india juliet".split()
 
@@ -291,7 +295,6 @@ class TestTrainCommand:
                   "--corpus", str(trained_run["corpus"]), "--split", "valid",
                   "--batch-size", "2", "--bptt-len", "4"]
         cases = [(train + ["--adv", "adaptive:1e300"], "epoch 0: training"),
-                 (train + ["--learning-rate", "1e308"], "epoch 0: training"),
                  (scaled, "--split valid")]
         for argv, side in cases:
             with np.errstate(all="ignore"):  # the overflows under test
@@ -299,6 +302,66 @@ class TestTrainCommand:
             err = capsys.readouterr().err
             assert f"error: {side} perplexity is not finite" in err, argv
             assert "Traceback" not in err, argv
+
+    def test_overflowing_step_exits_3_at_its_window(self, tmp_path, capsys):
+        # a step of 1e308 overflows the next window's forward; that window
+        # stops the run, with no numpy RuntimeWarning on the way
+        with open(bundled_corpus_path(), encoding="utf-8") as fh:
+            head = fh.readlines()[:20]
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("".join(head), encoding="utf-8")
+        argv = ["train", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                "--embed-dim", "8", "--batch-size", "2", "--bptt-len", "4",
+                "--epochs", "1", "--learning-rate", "1e308"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "error: epoch 0, window" in err and "overflow" in err
+        assert "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_interrupted_run_keeps_its_finished_epochs(self, tmp_path,
+                                                       monkeypatch):
+        corpus = tmp_path / "c.txt"
+        make_corpus(corpus, num_lines=20)
+        out = tmp_path / "o"
+        real_epoch = advlm.train.train_epoch
+
+        def fail_at_epoch_2(params, stream, config, epoch):
+            if epoch == 2:
+                raise NumericError("epoch 2: stopped")
+            return real_epoch(params, stream, config, epoch)
+
+        monkeypatch.setattr(advlm.train, "train_epoch", fail_at_epoch_2)
+        rc = main(["train", "--corpus", str(corpus), "--out", str(out),
+                   "--epochs", "4"] + TRAIN_FLAGS)
+        assert rc == 3
+        params = load_checkpoint(str(out / "model.bin"))
+        assert params.config.embed_dim == 8
+        assert [r.epoch for r in TrainLog.load(str(out / "log.csv")).rows] == [0, 1]
+
+    def test_per_epoch_writes_leave_the_final_files(self, tmp_path):
+        # model.bin and log.csv are rewritten after every epoch; the last
+        # write is the full run's, byte for byte apart from wall_s
+        corpus = tmp_path / "c.txt"
+        make_corpus(corpus, num_lines=20)
+        out = tmp_path / "o"
+        rc = main(["train", "--corpus", str(corpus), "--out", str(out),
+                   "--epochs", "3"] + TRAIN_FLAGS)
+        assert rc == 0
+        vocab = Vocab.load(str(out / "vocab.tsv"))
+        head, tail = split_tokens(read_tokens(str(corpus)))
+        params = init_params(LMConfig(len(vocab), 8), 1)
+        cfg = TrainConfig(epochs=3, batch_size=2, bptt_len=4, learning_rate=1.0,
+                          seed=1)
+        log = train(params, batchify(vocab.encode(head), 2, 4),
+                    batchify(vocab.encode(tail), 2, 4), cfg)
+        save_checkpoint(params, str(tmp_path / "direct.bin"))
+        assert (out / "model.bin").read_bytes() == (tmp_path / "direct.bin").read_bytes()
+        logged = TrainLog.load(str(out / "log.csv")).rows
+        assert [replace(r, wall_s=0.0).as_csv() for r in logged] == \
+            [replace(r, wall_s=0.0).as_csv() for r in log.rows]
 
     def test_memory_error_exits_2(self, trained_run, tmp_path, monkeypatch,
                                   capsys):

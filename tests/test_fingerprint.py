@@ -1,0 +1,36 @@
+"""tools/fingerprint.py: one entry is the same twice at one revision."""
+
+import importlib.util
+import pathlib
+
+from advlm.model import LMConfig, init_params, save_checkpoint
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("fingerprint",
+                                               _ROOT / "tools" / "fingerprint.py")
+fingerprint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fingerprint)
+
+
+def test_desk_entry_repeats_at_one_revision(tmp_path):
+    # digests depend on the BLAS build and thread count, so none is pinned:
+    # two runs in one environment must agree
+    inputs = fingerprint.make_inputs(["desk"], str(tmp_path / "in"))
+    a, b = (fingerprint.fingerprint(str(_ROOT), ["desk"], inputs, str(tmp_path / side))
+            for side in "ab")
+    assert a["entries"] == b["entries"]
+    assert set(a["entries"]["desk"]) == {"digest", "model_bin_sha256"}
+    assert a["machine"]["openblas"] == b["machine"]["openblas"]
+
+
+def test_param_diff_reports_the_largest_differences(tmp_path):
+    a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+    params = init_params(LMConfig(vocab_size=4, embed_dim=2), 0)
+    save_checkpoint(params, a)
+    x = params.embedding.values[1, 0]
+    y = params.embedding.values[1, 0] = 2 * x + 0.5
+    save_checkpoint(params, b)
+    rel = abs(y - x) / max(abs(x), abs(y))
+    assert fingerprint.param_diff(a, b) == \
+        f"max abs diff {abs(y - x):.3g}, max rel diff {rel:.3g}"
+    assert fingerprint.param_diff(a, a) == "max abs diff 0, max rel diff 0"

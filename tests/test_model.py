@@ -197,6 +197,19 @@ class TestForward:
             np.testing.assert_array_equal(contexts.values, want.values)
             np.testing.assert_array_equal(targets, want_targets)
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_stream_contexts_equal_taped_windows(self, layers):
+        # the untaped pass keeps no gate history, and computes the same bits
+        cfg = LMConfig(vocab_size=5, embed_dim=3, hidden_dim=4, num_layers=layers)
+        params = init_params(cfg, 2)
+        stream = batchify(np.arange(26) % 5, 2, 4)  # 13 steps: 3 windows
+        got = list(stream_contexts(params, stream))
+        state = zero_state(cfg, 2)
+        for (contexts, _), (inputs, _) in zip(got, stream.windows(), strict=True):
+            with Tape():
+                want, state = forward(params, inputs, state)
+            assert np.array_equal(contexts.values, want.values)
+
     def test_out_of_range_id_rejected(self):
         cfg = LMConfig(vocab_size=5, embed_dim=3)
         params = init_params(cfg, 1)

@@ -1,0 +1,196 @@
+"""Digest every output a change should leave bitwise unchanged.
+
+    python3 tools/fingerprint.py                    # JSON of this checkout
+    python3 tools/fingerprint.py --against HEAD~1   # compare with a revision
+
+The entries, all on the perfbench inputs of seed 4242:
+
+- desk, wide_vocab: the trained parameters' digest and model.bin's sha256;
+- analyze_wide: the sha256 of report.json and nn_distances.csv;
+- ab_grid: the nine (alpha, seed) results of the A/B experiment;
+- verify: the gradients line of ``advlm verify --seed 0``.
+
+Each workload runs once through ``perfbench/program.py`` in its own process,
+as perfbench/run.py runs it; nothing here is timed. The inputs are generated
+once, by this checkout's perfbench/inputs.py, and both sides of a comparison
+read the same files. The JSON also holds each side's revision and the
+machine line of perfbench/run.py (BLAS build and thread count). Digests
+depend on both, so a digest file is a record, never a gate.
+
+--against REV checks REV out with ``git worktree`` in a temporary directory
+and runs the same entries there, with the same environment and so the same
+OPENBLAS_NUM_THREADS. It prints equal or different per entry and, for a
+parameter set that differs, the largest absolute and relative difference.
+The exit code is 1 when an entry differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+SEED = 4242  # one fixed input seed, so fingerprints of any two revisions compare
+ENTRIES = ("desk", "wide_vocab", "analyze_wide", "ab_grid", "verify")
+LM_ENTRIES = ("desk", "wide_vocab")
+
+
+def _load(name: str, path: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_run = _load("perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+bench_inputs = _load("perfbench_inputs", os.path.join(ROOT, "perfbench", "inputs.py"))
+
+
+def git(root: str, *args: str) -> str:
+    return subprocess.run(["git", "-C", root, *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def revision(root: str) -> str:
+    """HEAD of the checkout at root, marked +dirty when tracked files differ."""
+    dirty = git(root, "status", "--porcelain", "--untracked-files=no")
+    return git(root, "rev-parse", "HEAD") + ("+dirty" if dirty else "")
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def make_inputs(names, directory: str) -> dict:
+    """Write the perfbench inputs of every program entry in names; return
+    the path of each one's inputs.json."""
+    paths = {}
+    for name in names:
+        if name == "verify":
+            continue
+        where = os.path.join(directory, name)
+        inputs = bench_inputs.make_inputs(name, SEED, where)
+        paths[name] = os.path.join(where, "inputs.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(inputs, fh)
+    return paths
+
+
+def run_entry(root: str, name: str, inputs: dict, work: str):
+    """(fields, result.json or None) of one entry run from the checkout at root."""
+    if name == "verify":
+        src = os.path.join(root, "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run([sys.executable, "-m", "advlm.cli", "verify", "--seed", "0"],
+                              cwd=root, env=env, capture_output=True, text=True)
+        line = next((ln for ln in done.stdout.splitlines() if " gradients:" in ln),
+                    f"no gradients line (exit {done.returncode})")
+        return {"gradients": line}, None
+    out = os.path.join(work, name)
+    subprocess.run([sys.executable, os.path.join(root, "perfbench", "program.py"),
+                    "--workload", name, "--inputs", inputs[name], "--seed", str(SEED),
+                    "--out", out], check=True, stdout=subprocess.DEVNULL)
+    with open(os.path.join(out, "result.json"), encoding="utf-8") as fh:
+        result = json.load(fh)
+    if name in LM_ENTRIES:
+        return {"digest": result["digest"],
+                "model_bin_sha256": sha256(result["checkpoint"])}, result
+    if name == "analyze_wide":
+        return {f: sha256(os.path.join(out, f))
+                for f in ("report.json", "nn_distances.csv")}, result
+    return {"runs": result["runs"]}, result
+
+
+def fingerprint(root: str, names, inputs: dict, work: str) -> dict:
+    """The fingerprint of the checkout at root; model.bin files stay in work."""
+    entries, threads = {}, None
+    for name in names:
+        entries[name], result = run_entry(root, name, inputs, work)
+        if result is not None:
+            threads = result["openblas_threads"]
+    info = bench_run.machine(threads)
+    info["git"] = revision(root)  # machine() reads this checkout's
+    return {"seed": SEED, "machine": info, "entries": entries}
+
+
+def param_diff(path_a: str, path_b: str) -> str:
+    """Largest absolute and relative difference over two checkpoints' tensors."""
+    from advlm.model import load_checkpoint
+
+    a, b = load_checkpoint(path_a), load_checkpoint(path_b)
+    if a.config != b.config:
+        return f"configs differ: {a.config} vs {b.config}"
+    worst_abs = worst_rel = 0.0
+    for (_, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors()):
+        diff = np.abs(ta.values - tb.values)
+        scale = np.maximum(np.abs(ta.values), np.abs(tb.values))
+        worst_abs = max(worst_abs, float(diff.max()))
+        worst_rel = max(worst_rel, float((diff[scale > 0] / scale[scale > 0]).max(initial=0)))
+    return f"max abs diff {worst_abs:.3g}, max rel diff {worst_rel:.3g}"
+
+
+def compare(this: dict, other: dict, work_this: str, work_other: str) -> bool:
+    """Print one line per entry; True when every entry is equal."""
+    for key in ("git", "openblas_threads"):
+        print(f"{key:<16} {this['machine'][key]} vs {other['machine'][key]}")
+    same = True
+    for name, fields in this["entries"].items():
+        if fields == other["entries"][name]:
+            print(f"{name:<16} equal")
+            continue
+        same = False
+        detail = ""
+        if name in LM_ENTRIES:
+            detail = ": " + param_diff(*(os.path.join(w, name, "model.bin")
+                                         for w in (work_this, work_other)))
+        print(f"{name:<16} different{detail}")
+    return same
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", metavar="REV", help="revision to compare with")
+    ap.add_argument("--out", help="write the JSON here (default: stdout, "
+                                  "unless --against)")
+    args = ap.parse_args(argv)
+    tmp = tempfile.mkdtemp(prefix="fingerprint-")
+    tree = os.path.join(tmp, "tree")
+    try:
+        inputs = make_inputs(ENTRIES, os.path.join(tmp, "in"))
+        this = fingerprint(ROOT, ENTRIES, inputs, os.path.join(tmp, "this"))
+        record, same = this, True
+        if args.against:
+            git(ROOT, "worktree", "add", "--detach", tree, args.against)
+            other = fingerprint(tree, ENTRIES, inputs, os.path.join(tmp, "other"))
+            record = {"this": this, "against": other}
+            same = compare(this, other, os.path.join(tmp, "this"),
+                           os.path.join(tmp, "other"))
+        text = json.dumps(record, indent=1) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        elif not args.against:
+            sys.stdout.write(text)
+        return 0 if same else 1
+    finally:
+        if os.path.isdir(tree):
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", tree],
+                           capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
