@@ -187,10 +187,15 @@ class DiversityReport:
 def diversity_report(W: np.ndarray, adv: AdvConfig,
                      probe_sets: list[tuple[str, np.ndarray]]) -> DiversityReport:
     """Full diagnostics over labeled probe batches, e.g. [("train", H),
-    ("random", R)]. One recognized-word entry per (word, probe source)."""
+    ("random", R)]. One recognized-word entry per (word, probe source).
+    NumericError for a W that is not finite or whose distances overflow."""
     W = np.asarray(W, dtype=np.float64)
     sv = singular_values(W)  # first: it rejects a non-finite W at once
-    nn = nearest_neighbor_distances(W)
+    try:
+        with np.errstate(over="raise"):
+            nn = nearest_neighbor_distances(W)
+    except FloatingPointError as e:
+        raise NumericError(f"nearest-neighbour distances overflow: {e}") from None
     eps_vec = epsilons(adv, W)
     seen = set()
     entries = []

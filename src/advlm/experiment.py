@@ -12,13 +12,13 @@ from __future__ import annotations
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
 from .advsoft import AdvConfig
-from .analysis import nearest_neighbor_distances, singular_values, sv_entropy
+from .analysis import diversity_report
 from .corpus import batchify, build_vocab, read_tokens, split_tokens
 from .errors import ConfigError
 from .model import LMConfig, init_params
@@ -31,14 +31,11 @@ ALPHAS = (BASELINE_ALPHA, ADV_ALPHA, HIGH_ALPHA)
 SEEDS = (1, 2, 3)
 
 EMBED_DIM = 64
-NUM_LAYERS = 1
-EPOCHS = 20
-BATCH_SIZE = 8
-BPTT_LEN = 16
-LEARNING_RATE = 4.0
-# The perturbation is the only regularizer under study, so the experiment
-# itself runs without input noise.
-NOISE_STD = 0.0
+# Every run's settings but its seed and perturbation. The perturbation is the
+# only regularizer under study, so the experiment runs without input noise.
+ACCEPTANCE = TrainConfig(epochs=20, batch_size=8, bptt_len=16, learning_rate=4.0,
+                         input_noise_start=0.0, input_noise_end=0.0,
+                         eval_interval=20)
 
 
 def bundled_corpus_path() -> str:
@@ -126,19 +123,14 @@ def run_one(train_ids: np.ndarray, valid_ids: np.ndarray, vocab_size: int,
             alpha: float, seed: int) -> RunResult:
     t0 = time.perf_counter()
     adv = AdvConfig("off") if alpha == 0.0 else AdvConfig("adaptive", alpha)
-    cfg = TrainConfig(epochs=EPOCHS, batch_size=BATCH_SIZE, bptt_len=BPTT_LEN,
-                      learning_rate=LEARNING_RATE, seed=seed, adv=adv,
-                      input_noise_start=NOISE_STD, input_noise_end=NOISE_STD,
-                      eval_interval=EPOCHS)
-    params = init_params(LMConfig(vocab_size, EMBED_DIM,
-                                  num_layers=NUM_LAYERS), seed)
-    log = train(params, batchify(train_ids, BATCH_SIZE, BPTT_LEN),
-                batchify(valid_ids, BATCH_SIZE, BPTT_LEN), cfg)
-    W = params.embedding.values
+    cfg = replace(ACCEPTANCE, seed=seed, adv=adv)
+    params = init_params(LMConfig(vocab_size, EMBED_DIM), seed)
+    log = train(params, batchify(train_ids, cfg.batch_size, cfg.bptt_len),
+                batchify(valid_ids, cfg.batch_size, cfg.bptt_len), cfg)
+    report = diversity_report(params.embedding.values, adv, [])
     final = log.rows[-1]
-    entropy = sv_entropy(singular_values(W))  # first: it rejects a non-finite W
     return RunResult(alpha, seed, final.train_ppl, final.valid_ppl,
-                     float(np.median(nearest_neighbor_distances(W))), entropy,
+                     float(np.median(report.nn_distances)), report.sv_entropy,
                      time.perf_counter() - t0)
 
 

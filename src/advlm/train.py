@@ -62,7 +62,7 @@ class TrainConfig:
 @dataclass
 class EpochStats:
     nll: float
-    tokens: int
+    noise_std: float
     mean_eps: float
 
 
@@ -169,8 +169,7 @@ def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
             raise NumericError(f"epoch {epoch}, window {w_idx}: {e}")
         total_nll += batch.total
         eps_sum += float(batch.epsilons.sum())
-    tokens = stream.num_targets
-    return EpochStats(total_nll, tokens, eps_sum / tokens)
+    return EpochStats(total_nll, std, eps_sum / stream.num_targets)
 
 
 def evaluate(params: LMParams, stream: BatchStream, side: str = "evaluation") -> float:
@@ -199,14 +198,13 @@ def train(params: LMParams, train_stream: BatchStream,
         stats = train_epoch(params, train_stream, config, epoch)
         wall = time.perf_counter() - t0
         last = epoch == config.epochs - 1
-        train_ppl = perplexity(stats.nll, stats.tokens, f"epoch {epoch}: training")
+        train_ppl = perplexity(stats.nll, train_stream.num_targets,
+                               f"epoch {epoch}: training")
         if valid_stream is not None and (epoch % config.eval_interval == 0 or last):
             valid_ppl = evaluate(params, valid_stream, f"epoch {epoch}: validation")
         else:
             valid_ppl = math.nan
-        std = noise_schedule(epoch, config.epochs, config.input_noise_start,
-                             config.input_noise_end)
-        row = LogRow(epoch, train_ppl, valid_ppl, wall, std, stats.mean_eps)
+        row = LogRow(epoch, train_ppl, valid_ppl, wall, stats.noise_std, stats.mean_eps)
         log.rows.append(row)
         if progress is not None:
             progress(log)

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -452,6 +453,14 @@ class TestDiversityReport:
         W[2, 1] = np.nan
         with pytest.raises(NumericError):
             diversity_report(W, AdvConfig(), [("p", np.ones((2, 3)))])
+
+    def test_overflowing_distances_rejected(self):
+        # finite, so the spectrum accepts it, but its squared norms overflow
+        W = np.random.default_rng(17).normal(size=(6, 3)) * 1e303
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="overflow"):
+                diversity_report(W, AdvConfig(), [("p", np.ones((2, 3)))])
 
     def test_epsilon_is_the_loss_radius(self):
         """Each entry's epsilon is bitwise the radius adv_nll_loss applies to

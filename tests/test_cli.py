@@ -589,6 +589,29 @@ class TestAnalyzeCommand:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("with_corpus", [False, True], ids=["random", "corpus"])
+    def test_overflowing_distances_exit_3(self, trained_run, tmp_path, capsys,
+                                          with_corpus):
+        # finite entries whose squares overflow: the spectrum accepts them
+        params = load_checkpoint(str(trained_run["out"] / "model.bin"))
+        params.embedding.values *= 1e303
+        save_checkpoint(params, str(tmp_path / "model.bin"))
+        (tmp_path / "vocab.tsv").write_bytes((trained_run["out"] / "vocab.tsv").read_bytes())
+        out = tmp_path / "report"
+        argv = ["analyze", "--checkpoint", str(tmp_path / "model.bin"), "--out", str(out),
+                "--num-random", "10", "--batch-size", "2", "--bptt-len", "4"]
+        if with_corpus:
+            argv += ["--corpus", str(trained_run["corpus"])]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc == 3
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
+        warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # without --corpus, random_probes takes the overflowing row norms first
+        assert len(warned) == (0 if with_corpus else 1)
+
     def test_corrupt_checkpoint_exit_4(self, tmp_path, capsys):
         bad = tmp_path / "model.bin"
         bad.write_bytes(b"not a checkpoint at all")

@@ -4,7 +4,8 @@ the end of one run."""
 import numpy as np
 import pytest
 
-from advlm import experiment
+from advlm import analysis, experiment
+from advlm.advsoft import AdvConfig
 from advlm.corpus import read_tokens
 from advlm.errors import ConfigError, NumericError
 from advlm.experiment import (
@@ -17,7 +18,8 @@ from advlm.experiment import (
     load_split,
     run_one,
 )
-from advlm.train import LogRow, TrainLog
+from advlm.model import LMConfig
+from advlm.train import LogRow, TrainConfig, TrainLog
 
 
 def run(alpha, seed, train_ppl, valid_ppl, nn, ent):
@@ -115,6 +117,27 @@ class TestLoadSplit:
 
 
 class TestRunOne:
+    @pytest.mark.parametrize("alpha,adv", [(ADV_ALPHA, AdvConfig("adaptive", 0.005)),
+                                           (BASELINE_ALPHA, AdvConfig("off"))],
+                             ids=["adaptive", "baseline"])
+    def test_acceptance_recipe(self, monkeypatch, alpha, adv):
+        seen = []
+
+        def capture(params, train_stream, valid_stream, cfg):
+            seen.append((cfg, params.config, train_stream, valid_stream))
+            return TrainLog([LogRow(19, 10.0, 12.0, 0.0, 0.0, 0.0)])
+
+        monkeypatch.setattr(experiment, "train", capture)
+        ids = np.arange(136) % 5  # one window of B=8, L=16
+        run_one(ids, ids, 5, alpha, 2)
+        [(cfg, lm_config, *streams)] = seen
+        assert cfg == TrainConfig(epochs=20, batch_size=8, bptt_len=16,
+                                  learning_rate=4.0, grad_clip=0.25, seed=2, adv=adv,
+                                  input_noise_start=0.0, input_noise_end=0.0,
+                                  eval_interval=20)
+        assert lm_config == LMConfig(5, 64, 64, 1, 0.1)
+        assert [(s.batch_size, s.bptt_len) for s in streams] == [(8, 16)] * 2
+
     def test_non_finite_embedding_rejected_before_distances(self, monkeypatch):
         def diverge(params, train_stream, valid_stream, cfg):
             params.embedding.values[0, 0] = np.nan
@@ -124,7 +147,7 @@ class TestRunOne:
             raise AssertionError("nearest-neighbour distances of a non-finite W")
 
         monkeypatch.setattr(experiment, "train", diverge)
-        monkeypatch.setattr(experiment, "nearest_neighbor_distances", no_distances)
+        monkeypatch.setattr(analysis, "nearest_neighbor_distances", no_distances)
         ids = np.arange(136) % 5  # one window of B=8, L=16
         with pytest.raises(NumericError):
             run_one(ids, ids, 5, ADV_ALPHA, 1)

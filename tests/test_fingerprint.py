@@ -15,11 +15,14 @@ _spec.loader.exec_module(fingerprint)
 def test_desk_entry_repeats_at_one_revision(tmp_path):
     # digests depend on the BLAS build and thread count, so none is pinned:
     # two runs in one environment must agree
-    inputs = fingerprint.make_inputs(["desk"], str(tmp_path / "in"))
-    a, b = (fingerprint.fingerprint(str(_ROOT), ["desk"], inputs, str(tmp_path / side))
+    names = ["desk", "cli_train"]
+    inputs = fingerprint.make_inputs(names, str(tmp_path / "in"))
+    a, b = (fingerprint.fingerprint(str(_ROOT), names, inputs, str(tmp_path / side))
             for side in "ab")
     assert a["entries"] == b["entries"]
     assert set(a["entries"]["desk"]) == {"digest", "model_bin_sha256"}
+    assert set(a["entries"]["cli_train"]) == {"model.bin", "vocab.tsv", "config.txt",
+                                              "log.csv without wall_s"}
     assert a["machine"]["openblas"] == b["machine"]["openblas"]
 
 

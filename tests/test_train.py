@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+import advlm.model
 import advlm.train
 from advlm.advsoft import AdvConfig
 from advlm.autodiff import Tape
@@ -373,6 +374,26 @@ class TestTrain:
                 train(params, stream, None, TrainConfig(epochs=1, **sizes))
         for t, v in zip(params.tensors(), before):
             np.testing.assert_array_equal(t.values, v)
+
+
+    def test_log_reports_the_noise_training_drew(self, monkeypatch):
+        params, ids, _ = self._setup()
+        drawn, per_epoch = [], []
+
+        def recording_forward(params, inputs, state, input_noise_std, rng):
+            drawn.append(input_noise_std)
+            return advlm.model.forward(params, inputs, state, input_noise_std, rng)
+
+        def epoch_done(log):
+            per_epoch.append(set(drawn))
+            drawn.clear()
+
+        monkeypatch.setattr(advlm.train, "forward", recording_forward)
+        cfg = TrainConfig(epochs=3, batch_size=2, bptt_len=5, learning_rate=0.0,
+                          input_noise_start=0.3, input_noise_end=0.1)
+        log = train(params, batchify(ids, 2, 5), None, cfg, progress=epoch_done)
+        for e, (row, seen) in enumerate(zip(log.rows, per_epoch, strict=True)):
+            assert seen == {row.noise_std} == {noise_schedule(e, 3, 0.3, 0.1)}
 
 
 class TestTrainLog:

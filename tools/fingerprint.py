@@ -8,14 +8,18 @@ The entries, all on the perfbench inputs of seed 4242:
 - desk, wide_vocab: the trained parameters' digest and model.bin's sha256;
 - analyze_wide: the sha256 of report.json and nn_distances.csv;
 - ab_grid: the nine (alpha, seed) results of the A/B experiment;
-- verify: the gradients line of ``advlm verify --seed 0``.
+- verify: the gradients line of ``advlm verify --seed 0``;
+- cli_train: ``advlm train`` for 2 epochs on desk's corpus with two layers,
+  ``adaptive:0.005`` and the default input noise (0.2 falling to 0): the
+  sha256 of model.bin, vocab.tsv, config.txt, and log.csv without wall_s.
 
 Each workload runs once through ``perfbench/program.py`` in its own process,
-as perfbench/run.py runs it; nothing here is timed. The inputs are generated
-once, by this checkout's perfbench/inputs.py, and both sides of a comparison
-read the same files. The JSON also holds each side's revision and the
-machine line of perfbench/run.py (BLAS build and thread count). Digests
-depend on both, so a digest file is a record, never a gate.
+as perfbench/run.py runs it; verify and cli_train run the checkout's CLI.
+Nothing here is timed. The inputs are generated once, by this checkout's
+perfbench/inputs.py, and both sides of a comparison read the same files.
+The JSON also holds each side's revision and the machine line of
+perfbench/run.py (BLAS build and thread count). Digests depend on both, so a
+digest file is a record, never a gate.
 
 --against REV checks REV out with ``git worktree`` in a temporary directory
 and runs the same entries there, with the same environment and so the same
@@ -42,8 +46,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 SEED = 4242  # one fixed input seed, so fingerprints of any two revisions compare
-ENTRIES = ("desk", "wide_vocab", "analyze_wide", "ab_grid", "verify")
+ENTRIES = ("desk", "wide_vocab", "analyze_wide", "ab_grid", "verify", "cli_train")
 LM_ENTRIES = ("desk", "wide_vocab")
+MODEL_ENTRIES = LM_ENTRIES + ("cli_train",)  # each leaves <work>/<name>/model.bin
+CLI_TRAIN_FLAGS = ("--epochs", "2", "--num-layers", "2", "--hidden-dim", "48",
+                   "--adv", "adaptive:0.005", "--seed", str(SEED))
 
 
 def _load(name: str, path: str):
@@ -73,12 +80,21 @@ def sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def log_sha256(path: str) -> str:
+    """sha256 of a training log with its wall_s column dropped."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    wall = rows[0].index("wall_s")
+    text = "\n".join(",".join(row[:wall] + row[wall + 1:]) for row in rows)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def make_inputs(names, directory: str) -> dict:
     """Write the perfbench inputs of every program entry in names; return
-    the path of each one's inputs.json."""
+    the path of each one's inputs.json. cli_train reads desk's."""
     paths = {}
     for name in names:
-        if name == "verify":
+        if name in ("verify", "cli_train"):
             continue
         where = os.path.join(directory, name)
         inputs = bench_inputs.make_inputs(name, SEED, where)
@@ -90,16 +106,29 @@ def make_inputs(names, directory: str) -> dict:
 
 def run_entry(root: str, name: str, inputs: dict, work: str):
     """(fields, result.json or None) of one entry run from the checkout at root."""
+    src = os.path.join(root, "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     if name == "verify":
-        src = os.path.join(root, "src")
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         done = subprocess.run([sys.executable, "-m", "advlm.cli", "verify", "--seed", "0"],
                               cwd=root, env=env, capture_output=True, text=True)
         line = next((ln for ln in done.stdout.splitlines() if " gradients:" in ln),
                     f"no gradients line (exit {done.returncode})")
         return {"gradients": line}, None
     out = os.path.join(work, name)
+    if name == "cli_train":
+        # a copy of the corpus and a relative --out keep paths out of config.txt
+        with open(inputs["desk"], encoding="utf-8") as fh:
+            corpus = json.load(fh)["corpus"]
+        os.makedirs(out)
+        shutil.copyfile(corpus, os.path.join(out, "corpus.txt"))
+        subprocess.run([sys.executable, "-m", "advlm.cli", "train", "--corpus", "corpus.txt",
+                        "--out", ".", *CLI_TRAIN_FLAGS], cwd=out, env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        fields = {f: sha256(os.path.join(out, f))
+                  for f in ("model.bin", "vocab.tsv", "config.txt")}
+        fields["log.csv without wall_s"] = log_sha256(os.path.join(out, "log.csv"))
+        return fields, None
     subprocess.run([sys.executable, os.path.join(root, "perfbench", "program.py"),
                     "--workload", name, "--inputs", inputs[name], "--seed", str(SEED),
                     "--out", out], check=True, stdout=subprocess.DEVNULL)
@@ -153,7 +182,7 @@ def compare(this: dict, other: dict, work_this: str, work_other: str) -> bool:
             continue
         same = False
         detail = ""
-        if name in LM_ENTRIES:
+        if name in MODEL_ENTRIES:
             detail = ": " + param_diff(*(os.path.join(w, name, "model.bin")
                                          for w in (work_this, work_other)))
         print(f"{name:<16} different{detail}")
