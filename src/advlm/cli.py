@@ -215,8 +215,10 @@ def cmd_analyze(args) -> int:
         words = vocab.id_to_token
     else:
         # No contexts available: probe with random directions at the typical
-        # embedding-row scale.
-        probes = [("random", random_probes(W, args.num_random, rng))]
+        # embedding-row scale. Row norms that overflow are not warned about
+        # here: diversity_report rejects such a W next (NumericError, exit 3).
+        with np.errstate(over="ignore"):
+            probes = [("random", random_probes(W, args.num_random, rng))]
         words = [str(i) for i in range(W.shape[0])]
     report = diversity_report(W, adv, probes)
     os.makedirs(args.out, exist_ok=True)
@@ -254,9 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
                              help=f"{opt.help} (default: {opt.default!r})")
     p_train.set_defaults(func=cmd_train)
 
-    def add_eval_flags(p):
+    def add_eval_flags(p, corpus_required):
         p.add_argument("--checkpoint", required=True, help="model.bin path")
-        p.add_argument("--corpus", help="corpus file to evaluate on")
+        p.add_argument("--corpus", required=corpus_required,
+                       help="corpus file to evaluate on")
         p.add_argument("--vocab",
                        help="vocab.tsv path (default: next to the checkpoint)")
         p.add_argument("--split", choices=("full", "train", "valid"),
@@ -267,12 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bptt-len", type=int, default=32)
 
     p_eval = sub.add_parser("eval", help="print perplexity on a corpus")
-    add_eval_flags(p_eval)
+    add_eval_flags(p_eval, True)
     p_eval.set_defaults(func=cmd_eval)
 
     p_an = sub.add_parser("analyze",
                           help="write embedding-diversity report and CSV")
-    add_eval_flags(p_an)
+    add_eval_flags(p_an, False)
     p_an.add_argument("--adv", default="off",
                       help="perturbation used for recognizability "
                            "(off, fixed:EPS, adaptive:ALPHA)")
@@ -296,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eval" and args.corpus is None:
-        parser.error("eval requires --corpus")
     try:
         return args.func(args)
     except (ConfigError, CorpusError, ShapeError) as exc:

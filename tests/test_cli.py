@@ -496,7 +496,19 @@ class TestEvalCommand:
             main(["eval", "--checkpoint",
                   str(trained_run["out"] / "model.bin")])
         assert exc.value.code == 2
-        capsys.readouterr()
+        assert "--corpus" in capsys.readouterr().err
+
+    def test_nan_checkpoint_names_the_split(self, trained_run, tmp_path, capsys):
+        params = load_checkpoint(str(trained_run["out"] / "model.bin"))
+        params.embedding.values[3, 2] = np.nan
+        save_checkpoint(params, str(tmp_path / "model.bin"))
+        rc = main(["eval", "--checkpoint", str(tmp_path / "model.bin"),
+                   "--vocab", str(trained_run["out"] / "vocab.tsv"),
+                   "--corpus", str(trained_run["corpus"]), "--split", "valid",
+                   "--batch-size", "2", "--bptt-len", "4"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "error: --split valid perplexity is not finite: mean NLL nan\n"
 
 
 REPORT_SCHEMA = {
@@ -609,8 +621,7 @@ class TestAnalyzeCommand:
         assert "overflow" in capsys.readouterr().err
         assert not out.exists()
         warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        # without --corpus, random_probes takes the overflowing row norms first
-        assert len(warned) == (0 if with_corpus else 1)
+        assert not warned
 
     def test_corrupt_checkpoint_exit_4(self, tmp_path, capsys):
         bad = tmp_path / "model.bin"

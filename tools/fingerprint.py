@@ -11,12 +11,15 @@ The entries, all on the perfbench inputs of seed 4242:
 - verify: the gradients line of ``advlm verify --seed 0``;
 - cli_train: ``advlm train`` for 2 epochs on desk's corpus with two layers,
   ``adaptive:0.005`` and the default input noise (0.2 falling to 0): the
-  sha256 of model.bin, vocab.tsv, config.txt, and log.csv without wall_s.
+  sha256 of model.bin, vocab.tsv, config.txt, and log.csv without wall_s;
+- corpora: the sha256 of ``generate(seed, n)`` from the checkout's own
+  tools/make_tiny_corpus.py, at desk's and ab_grid's token counts.
 
 Each workload runs once through ``perfbench/program.py`` in its own process,
 as perfbench/run.py runs it; verify and cli_train run the checkout's CLI.
 Nothing here is timed. The inputs are generated once, by this checkout's
-perfbench/inputs.py, and both sides of a comparison read the same files.
+perfbench/inputs.py, and both sides of a comparison read the same files;
+the corpora entry is what shows a change to the generator itself.
 The JSON also holds each side's revision and the machine line of
 perfbench/run.py (BLAS build and thread count). Digests depend on both, so a
 digest file is a record, never a gate.
@@ -46,7 +49,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 SEED = 4242  # one fixed input seed, so fingerprints of any two revisions compare
-ENTRIES = ("desk", "wide_vocab", "analyze_wide", "ab_grid", "verify", "cli_train")
+ENTRIES = ("desk", "wide_vocab", "analyze_wide", "ab_grid", "verify", "cli_train",
+           "corpora")
 LM_ENTRIES = ("desk", "wide_vocab")
 MODEL_ENTRIES = LM_ENTRIES + ("cli_train",)  # each leaves <work>/<name>/model.bin
 CLI_TRAIN_FLAGS = ("--epochs", "2", "--num-layers", "2", "--hidden-dim", "48",
@@ -94,7 +98,7 @@ def make_inputs(names, directory: str) -> dict:
     the path of each one's inputs.json. cli_train reads desk's."""
     paths = {}
     for name in names:
-        if name in ("verify", "cli_train"):
+        if name in ("verify", "cli_train", "corpora"):
             continue
         where = os.path.join(directory, name)
         inputs = bench_inputs.make_inputs(name, SEED, where)
@@ -115,6 +119,12 @@ def run_entry(root: str, name: str, inputs: dict, work: str):
         line = next((ln for ln in done.stdout.splitlines() if " gradients:" in ln),
                     f"no gradients line (exit {done.returncode})")
         return {"gradients": line}, None
+    if name == "corpora":
+        tool = _load("make_tiny_corpus", os.path.join(root, "tools", "make_tiny_corpus.py"))
+        return {f"{workload} ({n} tokens)":
+                hashlib.sha256(tool.generate(SEED, n).encode("utf-8")).hexdigest()
+                for workload, n in (("desk", bench_inputs.DESK_TOKENS),
+                                    ("ab_grid", bench_inputs.AB_TOKENS))}, None
     out = os.path.join(work, name)
     if name == "cli_train":
         # a copy of the corpus and a relative --out keep paths out of config.txt

@@ -5,6 +5,10 @@ template grammar with topic blocks and a shared function-word pool, so the
 sample has natural-text statistics (bursty topics, frequent function words,
 rarer content words) without carrying any third-party license. Regenerating
 with the same seed reproduces the file byte for byte.
+
+The grammar is data: FORMS, FIXED and TOPICAL below, read by one sampler.
+The order of the rng draws is part of the output, so it is spelled out
+where each draw is made.
 """
 
 import os
@@ -19,6 +23,7 @@ ONSETS = ["b", "br", "c", "cl", "d", "dr", "f", "fl", "g", "gr", "h", "k",
           "tr", "v", "w"]
 VOWELS = ["a", "e", "i", "o", "u", "ai", "ea", "ou"]
 CODAS = ["", "n", "r", "s", "t", "l", "nd", "st", "ck", "m"]
+SYLLABLES = 2
 
 DET = ["the", "the", "the", "a", "a", "its", "some", "every"]
 PREP = ["of", "in", "near", "under", "behind", "beyond", "along", "with"]
@@ -26,102 +31,72 @@ CONJ = ["and", "while", "but", "as"]
 ADVERBS = ["slowly", "often", "quietly", "again", "almost", "rarely",
            "together", "early"]
 
-# Small enough that every word type recurs often (median type count in the
-# hundreds), so embedding geometry reflects training rather than init noise.
+# A sentence is one form, drawn uniformly; each of its slots is one word.
+FORMS = [
+    "det n v det a n",
+    "det a n prep det n v adv",
+    "det n prep det n v det n",
+    "det n v adv conj det n v",
+    "adv det n v prep det a n",
+    "det n conj det n v det n prep det n",
+    "det a a n v det n",
+    "det n v",
+]
+FIXED = {"det": DET, "prep": PREP, "conj": CONJ, "adv": ADVERBS}
+# Topical slots (noun, verb, adjective): the share of words drawn from the
+# sentence topic's own pool rather than the shared one, then the per-topic
+# and shared pool sizes. Pools are small and word choice within one is
+# uniform, so every type recurs often (median type count in the hundreds)
+# and embedding geometry reflects training rather than init noise.
+TOPICAL = {"n": (0.75, 24, 20), "v": (0.7, 10, 8), "a": (0.7, 10, 8)}
 NUM_TOPICS = 4
-NOUNS_PER_TOPIC = 24
-VERBS_PER_TOPIC = 10
-ADJS_PER_TOPIC = 10
-SHARED_NOUNS = 20
-SHARED_VERBS = 8
-SHARED_ADJS = 8
 
 
-def make_words(rng, count, taken, syllables=2):
+def make_words(rng, count, taken):
     words = []
     while len(words) < count:
-        parts = []
-        for _ in range(syllables):
-            parts.append(ONSETS[rng.integers(len(ONSETS))]
-                         + VOWELS[rng.integers(len(VOWELS))]
-                         + CODAS[rng.integers(len(CODAS))])
-        w = "".join(parts)
+        w = "".join(ONSETS[rng.integers(len(ONSETS))]
+                    + VOWELS[rng.integers(len(VOWELS))]
+                    + CODAS[rng.integers(len(CODAS))] for _ in range(SYLLABLES))
         if 4 <= len(w) <= 10 and w not in taken:
             taken.add(w)
             words.append(w)
     return words
 
 
-# Word choice within a pool is uniform, so every type recurs often enough
-# that its embedding geometry reflects training rather than init noise.
-def pick(rng, words):
-    return words[rng.integers(len(words))]
+def lexicon(rng):
+    """(shared, topics): each topical slot's shared pool, then one dict of
+    pools per topic, drawn in that order."""
+    taken = set(DET + PREP + CONJ + ADVERBS)
+    shared = {slot: make_words(rng, size, taken)
+              for slot, (_, _, size) in TOPICAL.items()}
+    topics = [{slot: make_words(rng, size, taken)
+               for slot, (_, size, _) in TOPICAL.items()}
+              for _ in range(NUM_TOPICS)]
+    return shared, topics
 
 
-class Lexicon:
-    def __init__(self, rng):
-        taken = set(DET + PREP + CONJ + ADVERBS)
-        self.shared_nouns = make_words(rng, SHARED_NOUNS, taken)
-        self.shared_verbs = make_words(rng, SHARED_VERBS, taken)
-        self.shared_adjs = make_words(rng, SHARED_ADJS, taken)
-        self.topics = []
-        for _ in range(NUM_TOPICS):
-            self.topics.append({
-                "nouns": make_words(rng, NOUNS_PER_TOPIC, taken),
-                "verbs": make_words(rng, VERBS_PER_TOPIC, taken),
-                "adjs": make_words(rng, ADJS_PER_TOPIC, taken),
-            })
-
-    def noun(self, rng, topic):
-        pool = self.topics[topic]["nouns"] if rng.random() < 0.75 \
-            else self.shared_nouns
-        return pick(rng, pool)
-
-    def verb(self, rng, topic):
-        pool = self.topics[topic]["verbs"] if rng.random() < 0.7 \
-            else self.shared_verbs
-        return pick(rng, pool)
-
-    def adj(self, rng, topic):
-        pool = self.topics[topic]["adjs"] if rng.random() < 0.7 \
-            else self.shared_adjs
-        return pick(rng, pool)
-
-def sentence(rng, lex, topic):
-    det = lambda: DET[rng.integers(len(DET))]
-    prep = lambda: PREP[rng.integers(len(PREP))]
-    n = lambda: lex.noun(rng, topic)
-    v = lambda: lex.verb(rng, topic)
-    a = lambda: lex.adj(rng, topic)
-    adv = lambda: ADVERBS[rng.integers(len(ADVERBS))]
-    conj = lambda: CONJ[rng.integers(len(CONJ))]
-
-    forms = [
-        lambda: [det(), n(), v(), det(), a(), n()],
-        lambda: [det(), a(), n(), prep(), det(), n(), v(), adv()],
-        lambda: [det(), n(), prep(), det(), n(), v(), det(), n()],
-        lambda: [det(), n(), v(), adv(), conj(), det(), n(), v()],
-        lambda: [adv(), det(), n(), v(), prep(), det(), a(), n()],
-        lambda: [det(), n(), conj(), det(), n(), v(), det(), n(),
-                 prep(), det(), n()],
-        lambda: [det(), a(), a(), n(), v(), det(), n()],
-        lambda: [det(), n(), v()],
-    ]
-    return forms[rng.integers(len(forms))]()
+def sentence(rng, shared, own):
+    """Draw a form, then per slot: the pool (topical slots only) and a word."""
+    words = []
+    for slot in FORMS[rng.integers(len(FORMS))].split():
+        if slot in TOPICAL:
+            pool = (own if rng.random() < TOPICAL[slot][0] else shared)[slot]
+        else:
+            pool = FIXED[slot]
+        words.append(pool[rng.integers(len(pool))])
+    return words
 
 
 def generate(seed=SEED, target_tokens=TARGET_TOKENS):
     rng = np.random.default_rng(seed)
-    lex = Lexicon(rng)
-    lines = []
-    tokens = 0
-    topic = int(rng.integers(NUM_TOPICS))
-    block_left = int(rng.integers(15, 40))
+    shared, topics = lexicon(rng)
+    lines, tokens, block_left = [], 0, 0
     while tokens < target_tokens:
         if block_left == 0:
-            topic = int(rng.integers(NUM_TOPICS))
-            block_left = int(rng.integers(15, 40))
-        words = sentence(rng, lex, topic)
+            own = topics[rng.integers(NUM_TOPICS)]
+            block_left = int(rng.integers(15, 40))  # sentences in this block
+        words = sentence(rng, shared, own)
         lines.append(" ".join(words))
         tokens += len(words) + 1  # line end counts as one token downstream
         block_left -= 1
