@@ -228,6 +228,9 @@ def random_probes(rows: np.ndarray, num_random: int,
     when that median is 0)."""
     if num_random < 0:
         raise ConfigError(f"num_random must be >= 0, got {num_random}")
+    if 8 * num_random * rows.shape[1] > np.iinfo(np.intp).max:
+        raise ConfigError(f"num_random {num_random} x dim {rows.shape[1]}: the "
+                          f"float64 probes do not fit in an address space")
     scale = float(np.median(np.linalg.norm(rows, axis=1))) or 1.0
     R = rng.normal(size=(num_random, rows.shape[1]))
     R *= scale / np.linalg.norm(R, axis=1, keepdims=True)

@@ -266,8 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default="full",
                        help="evaluate on the whole file or one side of the "
                             "90/10 split (default: full)")
-        p.add_argument("--batch-size", type=int, default=32)
-        p.add_argument("--bptt-len", type=int, default=32)
+        p.add_argument("--batch-size", type=int,
+                       default=TRAIN_SCHEMA["batch_size"].default)
+        p.add_argument("--bptt-len", type=int,
+                       default=TRAIN_SCHEMA["bptt_len"].default)
 
     p_eval = sub.add_parser("eval", help="print perplexity on a corpus")
     add_eval_flags(p_eval, True)

@@ -111,23 +111,29 @@ def build_vocab(tokens, min_count: int = 1) -> Vocab:
     return Vocab([UNK, EOS] + kept)
 
 
+def _require_window(steps: int, batch_size: int, bptt_len: int) -> None:
+    """A stream always holds at least one window: fewer than bptt_len + 1
+    steps raise ConfigError."""
+    if steps < bptt_len + 1:
+        raise ConfigError(
+            f"stream shorter than one window: batch_size={batch_size}, "
+            f"bptt_len={bptt_len} need at least {batch_size * (bptt_len + 1)} "
+            f"tokens, got {steps * batch_size}")
+
+
 class BatchStream:
     """Contiguous [steps x batch] id matrix cut into (input, target) windows.
 
     Column b holds one contiguous slice of the corpus stream; window k pairs
     rows [kL, kL+L) with the rows shifted one step ahead. Trailing tokens that
     do not fill the matrix are dropped. A stream always holds at least one
-    window: fewer than bptt_len + 1 steps raise ConfigError.
+    window (_require_window).
     """
 
     def __init__(self, data: np.ndarray, bptt_len: int):
         self.data = data
         self.bptt_len = bptt_len
-        B, steps = self.batch_size, data.shape[0]
-        if steps < bptt_len + 1:
-            raise ConfigError(
-                f"stream shorter than one window: batch_size={B}, bptt_len={bptt_len} "
-                f"need at least {B * (bptt_len + 1)} tokens, got {steps * B}")
+        _require_window(data.shape[0], self.batch_size, bptt_len)
 
     @property
     def batch_size(self) -> int:
@@ -149,7 +155,9 @@ class BatchStream:
 
 
 def batchify(ids, batch_size: int, bptt_len: int) -> BatchStream:
-    """Lay out a token-id sequence as a BatchStream."""
+    """Lay out a token-id sequence as a BatchStream. A sequence without a
+    window is rejected before the layout, so no batch_size reaches numpy's
+    size limits."""
     if batch_size <= 0 or bptt_len <= 0:
         raise ConfigError(
             f"batch_size and bptt_len must be positive, got {batch_size}, {bptt_len}"
@@ -158,5 +166,6 @@ def batchify(ids, batch_size: int, bptt_len: int) -> BatchStream:
     if ids.ndim != 1:
         raise ConfigError(f"token ids must be 1-d, got shape {ids.shape}")
     steps = ids.size // batch_size
+    _require_window(steps, batch_size, bptt_len)
     data = ids[:steps * batch_size].reshape(batch_size, steps).T.copy()
     return BatchStream(data, bptt_len)

@@ -27,13 +27,13 @@ LOG_HEADER = "epoch,train_ppl,valid_ppl,wall_s,noise_std,mean_eps"
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
-    batch_size: int = 32
-    bptt_len: int = 32
+    batch_size: int
+    bptt_len: int
+    input_noise_start: float
     learning_rate: float = 4.0
     grad_clip: float = 0.25
     seed: int = 0
     adv: AdvConfig = field(default_factory=AdvConfig)
-    input_noise_start: float = 0.2
     input_noise_end: float = 0.0
     eval_interval: int = 1
 
@@ -94,7 +94,7 @@ class LogRow:
 
 @dataclass
 class TrainLog:
-    rows: list[LogRow] = field(default_factory=list)
+    rows: list[LogRow] = field(default_factory=list, init=False)
 
     def save(self, path: str) -> None:
         write_text_atomic(path, "\n".join([LOG_HEADER] + [r.as_csv() for r in self.rows])

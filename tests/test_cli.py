@@ -280,6 +280,28 @@ class TestTrainCommand:
             assert "error:" in err and "Traceback" not in err, (argv, env)
         assert not (tmp_path / "o").exists()
 
+    def test_sizes_past_numpy_limits_exit_2(self, trained_run, tmp_path, capsys):
+        # numpy refuses each size before allocating; here it is rejected
+        # earlier, with the stream's side or the probe count named
+        corpus = tmp_path / "c.txt"
+        make_corpus(corpus, num_lines=10)
+        checkpoint = ["--checkpoint", str(trained_run["out"] / "model.bin")]
+        analyze = ["analyze", *checkpoint, "--out", str(tmp_path / "a"),
+                   "--num-random", str(2 ** 61)]
+        cases = [(["train", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                   "--batch-size", str(2 ** 63)], "training side: stream shorter"),
+                 (["eval", *checkpoint, "--corpus", str(corpus),
+                   "--batch-size", str(2 ** 63)], "stream shorter than one window"),
+                 (analyze, "num_random"),
+                 (analyze + ["--corpus", str(corpus), "--batch-size", "2",
+                             "--bptt-len", "4"], "num_random")]
+        for argv, message in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, argv
+        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "a").exists()
+
     def test_non_finite_perplexity_exits_3(self, trained_run, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         make_corpus(corpus, num_lines=20)
@@ -354,7 +376,7 @@ class TestTrainCommand:
         head, tail = split_tokens(read_tokens(str(corpus)))
         params = init_params(LMConfig(len(vocab), 8), 1)
         cfg = TrainConfig(epochs=3, batch_size=2, bptt_len=4, learning_rate=1.0,
-                          seed=1)
+                          seed=1, input_noise_start=0.2)
         log = train(params, batchify(vocab.encode(head), 2, 4),
                     batchify(vocab.encode(tail), 2, 4), cfg)
         save_checkpoint(params, str(tmp_path / "direct.bin"))

@@ -167,6 +167,12 @@ class TestBatchify:
         with pytest.raises(ConfigError):
             batchify(np.arange(3), 2, 1)
 
+    @pytest.mark.parametrize("batch_size", [2 ** 60, 2 ** 63])
+    def test_batch_past_numpy_size_limit_rejected(self, batch_size):
+        # rejected before the layout: numpy cannot shape (batch_size, 0)
+        with pytest.raises(ConfigError, match="one window"):
+            batchify(np.arange(10), batch_size, 4)
+
     def test_rewind_on_reiteration(self):
         bs = batchify(np.arange(20), 2, 3)
         first = [x.copy() for x, _ in bs.windows()]

@@ -125,7 +125,9 @@ class TestRunOne:
 
         def capture(params, train_stream, valid_stream, cfg):
             seen.append((cfg, params.config, train_stream, valid_stream))
-            return TrainLog([LogRow(19, 10.0, 12.0, 0.0, 0.0, 0.0)])
+            log = TrainLog()
+            log.rows.append(LogRow(19, 10.0, 12.0, 0.0, 0.0, 0.0))
+            return log
 
         monkeypatch.setattr(experiment, "train", capture)
         ids = np.arange(136) % 5  # one window of B=8, L=16
@@ -141,7 +143,9 @@ class TestRunOne:
     def test_non_finite_embedding_rejected_before_distances(self, monkeypatch):
         def diverge(params, train_stream, valid_stream, cfg):
             params.embedding.values[0, 0] = np.nan
-            return TrainLog([LogRow(1, 10.0, 12.0, 0.0, 0.0, 0.0)])
+            log = TrainLog()
+            log.rows.append(LogRow(1, 10.0, 12.0, 0.0, 0.0, 0.0))
+            return log
 
         def no_distances(W):
             raise AssertionError("nearest-neighbour distances of a non-finite W")

@@ -15,7 +15,7 @@ _spec.loader.exec_module(fingerprint)
 def test_desk_entry_repeats_at_one_revision(tmp_path):
     # digests depend on the BLAS build and thread count, so none is pinned:
     # two runs in one environment must agree
-    names = ["desk", "cli_train", "corpora"]
+    names = ["desk", "cli_train", "cli_eval", "corpora"]
     inputs = fingerprint.make_inputs(names, str(tmp_path / "in"))
     a, b = (fingerprint.fingerprint(str(_ROOT), names, inputs, str(tmp_path / side))
             for side in "ab")
@@ -23,6 +23,8 @@ def test_desk_entry_repeats_at_one_revision(tmp_path):
     assert set(a["entries"]["desk"]) == {"digest", "model_bin_sha256"}
     assert set(a["entries"]["cli_train"]) == {"model.bin", "vocab.tsv", "config.txt",
                                               "log.csv without wall_s"}
+    assert set(a["entries"]["cli_eval"]) == {"eval", "report.json", "nn_distances.csv"}
+    assert a["entries"]["cli_eval"]["eval"].startswith("perplexity=")
     assert set(a["entries"]["corpora"]) == {"desk (55000 tokens)", "ab_grid (2000 tokens)"}
     assert a["machine"]["openblas"] == b["machine"]["openblas"]
 

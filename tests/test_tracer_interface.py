@@ -25,7 +25,7 @@ def test_traced_training_counts_one_record_per_model_op():
     params = init_params(LMConfig(vocab_size=6, embed_dim=5), 3)
     stream = batchify(np.random.default_rng(0).integers(0, 6, 2 * (3 * 5 + 1)), 2, 5)
     assert stream.num_windows == 3
-    tcfg = TrainConfig(epochs=1, batch_size=2, bptt_len=5,
+    tcfg = TrainConfig(epochs=1, batch_size=2, bptt_len=5, input_noise_start=0.2,
                        adv=AdvConfig("adaptive", 0.005))
     tracer = tracing.Tracer()
     tracer.install()

@@ -32,28 +32,26 @@ from reference import hand_lstm_step, hand_contexts, hand_nll
 
 
 class TestTrainConfig:
+    REQUIRED = dict(epochs=1, batch_size=2, bptt_len=4, input_noise_start=0.2)
+
     def test_defaults(self):
-        cfg = TrainConfig(epochs=1)
+        cfg = TrainConfig(**self.REQUIRED)
         assert cfg.learning_rate == 4.0
         assert cfg.grad_clip == 0.25
-        assert cfg.input_noise_start == 0.2
+        assert cfg.seed == 0
+        assert cfg.adv == AdvConfig("off")
         assert cfg.input_noise_end == 0.0
-        assert cfg.adv.mode == "off"
+        assert cfg.eval_interval == 1
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(epochs=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(epochs=1, grad_clip=0.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(epochs=1, input_noise_start=0.1, input_noise_end=0.2)
-        with pytest.raises(ConfigError):
-            TrainConfig(epochs=1, eval_interval=0)
-        for bad in (dict(seed=-4), dict(learning_rate=math.inf),
-                    dict(learning_rate=math.nan), dict(grad_clip=math.nan),
-                    dict(input_noise_start=math.inf)):
+        for bad in (dict(epochs=0), dict(batch_size=0), dict(bptt_len=0),
+                    dict(grad_clip=0.0),
+                    dict(input_noise_start=0.1, input_noise_end=0.2),
+                    dict(eval_interval=0), dict(seed=-4),
+                    dict(learning_rate=math.inf), dict(learning_rate=math.nan),
+                    dict(grad_clip=math.nan), dict(input_noise_start=math.inf)):
             with pytest.raises(ConfigError):
-                TrainConfig(epochs=1, **bad)
+                TrainConfig(**{**self.REQUIRED, **bad})
 
 
 class TestNoiseSchedule:
@@ -273,7 +271,7 @@ class TestTrainEpoch:
         monkeypatch.setattr(advlm.train, "Tape", GradTape)
         stream = batchify(np.random.default_rng(0).integers(0, 6, 80), 2, 5)
         tcfg = TrainConfig(epochs=1, batch_size=2, bptt_len=5,
-                           adv=AdvConfig("fixed", 0.4))
+                           input_noise_start=0.2, adv=AdvConfig("fixed", 0.4))
         train_epoch(params, stream, tcfg, 0)
         assert len(seen) == stream.num_windows
         for arrays in seen:
@@ -294,7 +292,7 @@ class TestTrainEpoch:
         params = init_params(LMConfig(vocab_size=6, embed_dim=5), 3)
         stream = batchify(np.random.default_rng(0).integers(0, 6, 80), 2, 5)
         tcfg = TrainConfig(epochs=1, batch_size=2, bptt_len=5,
-                           adv=AdvConfig("fixed", 0.4))
+                           input_noise_start=0.2, adv=AdvConfig("fixed", 0.4))
         gc.disable()
         try:
             train_epoch(params, stream, tcfg, 0)
@@ -371,7 +369,8 @@ class TestTrain:
         stream = batchify(ids, 2, 5)
         for sizes in (dict(batch_size=3, bptt_len=5), dict(batch_size=2, bptt_len=4)):
             with pytest.raises(ConfigError, match="training stream"):
-                train(params, stream, None, TrainConfig(epochs=1, **sizes))
+                train(params, stream, None,
+                      TrainConfig(epochs=1, input_noise_start=0.2, **sizes))
         for t, v in zip(params.tensors(), before):
             np.testing.assert_array_equal(t.values, v)
 

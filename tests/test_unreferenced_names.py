@@ -9,7 +9,11 @@ count, so a method shares its name with any other use of that name.
 Every defaulted parameter of a function in src/advlm must be passed by some
 call in src/advlm, perfbench or tools, by keyword or by position, to a
 function of the same name (a class name stands for its __init__). It must
-also be left out by some such call, or its default is never used.
+also be left out by some such call, or its default is never used. A
+dataclass field with a default (``x: T = v``, ``field(default=v)`` or
+``field(default_factory=f)``) and init left on is a defaulted parameter of the
+class, at its position among the init fields; ``field(default_factory=C)``
+counts as a call ``C()``.
 """
 
 import ast
@@ -77,12 +81,37 @@ def test_guard_flags_a_name_used_only_by_itself():
     assert sorted(set(defs) - refs) == ["lonely"]
 
 
+def _callee(node):
+    """The name a call's func (or a decorator) is matched by."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _field_spec(value):
+    """(init, has a default) of a dataclass field assigned value (None when
+    the field has no right-hand side)."""
+    if isinstance(value, ast.Call) and _callee(value.func) == "field":
+        kw = {k.arg: k.value for k in value.keywords}
+        init = kw.get("init")
+        return (not (isinstance(init, ast.Constant) and init.value is False),
+                "default" in kw or "default_factory" in kw)
+    return True, value is not None
+
+
 def _defaulted_params(tree):
     """(function name, parameter name, position or None) of every defaulted
-    parameter; the position skips self/cls and is None for keyword-only."""
+    parameter and dataclass field; the position skips self/cls and is None
+    for keyword-only."""
     out = []
 
     def visit(node, cls):
+        if isinstance(node, ast.ClassDef) and any(
+                _callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in node.decorator_list):
+            specs = [(s.target.id, *_field_spec(s.value)) for s in node.body
+                     if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            init_fields = [(name, default) for name, init, default in specs if init]
+            out.extend((node.name, name, k)
+                       for k, (name, default) in enumerate(init_fields) if default)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             a = node.args
             pos = a.posonlyargs + a.args
@@ -104,17 +133,20 @@ def _defaulted_params(tree):
 def _calls(trees):
     """Per function name, (positional count, keywords) of each call in trees.
     A call that unpacks *args or **kwargs is left out: what it passes is not
-    known."""
+    known. field(default_factory=C) is a call C() with no arguments."""
     calls = {}
     for node in (n for tree in trees for n in ast.walk(tree)):
         if not isinstance(node, ast.Call) or any(
                 isinstance(a, ast.Starred) for a in node.args) or any(
                 kw.arg is None for kw in node.keywords):
             continue
-        f = node.func
-        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        name = _callee(node.func)
         calls.setdefault(name, []).append(
             (len(node.args), {kw.arg for kw in node.keywords}))
+        if name == "field":
+            for kw in node.keywords:
+                if kw.arg == "default_factory":
+                    calls.setdefault(_callee(kw.value), []).append((0, set()))
     return calls
 
 
@@ -166,3 +198,18 @@ def test_knob_guard_flags_a_default_every_call_passes():
                      "class K:\n    def __init__(self, x=0):\n        pass\n\n"
                      "f(0, 1, e=5)\nf(0, 2, d=6, e=7)\nK(7)\nf(*[0])\n")
     assert always_set_knobs([tree], [tree]) == [("K", "x"), ("f", "b"), ("f", "e")]
+
+
+def test_knob_guard_reads_dataclass_fields():
+    # log (init=False) is no parameter, so c is C's third; K() from the
+    # default_factory leaves y out, which K(y=2) alone would not
+    tree = ast.parse("@dataclass(frozen=True)\nclass C:\n"
+                     "    a: int\n    b: int = 1\n"
+                     "    log: list = field(default_factory=list, init=False)\n"
+                     "    c: int = field(default=2)\n"
+                     "    k: K = field(default_factory=K)\n\n"
+                     "@dataclasses.dataclass\nclass K:\n"
+                     "    x: int = 0\n    y: int = 1\n\n"
+                     "C(0, 5, 6)\nC(0)\nK(y=2)\n")
+    assert unset_knobs([tree], [tree]) == [("C", "k"), ("K", "x")]
+    assert always_set_knobs([tree], [tree]) == []

@@ -12,11 +12,15 @@ The entries, all on the perfbench inputs of seed 4242:
 - cli_train: ``advlm train`` for 2 epochs on desk's corpus with two layers,
   ``adaptive:0.005`` and the default input noise (0.2 falling to 0): the
   sha256 of model.bin, vocab.tsv, config.txt, and log.csv without wall_s;
+- cli_eval: on cli_train's checkpoint and corpus at the default sizes,
+  ``advlm eval --split valid``'s output line, and the sha256 of report.json
+  and nn_distances.csv from ``advlm analyze --split valid --seed 4242``;
 - corpora: the sha256 of ``generate(seed, n)`` from the checkout's own
   tools/make_tiny_corpus.py, at desk's and ab_grid's token counts.
 
 Each workload runs once through ``perfbench/program.py`` in its own process,
-as perfbench/run.py runs it; verify and cli_train run the checkout's CLI.
+as perfbench/run.py runs it; verify, cli_train and cli_eval run the
+checkout's CLI.
 Nothing here is timed. The inputs are generated once, by this checkout's
 perfbench/inputs.py, and both sides of a comparison read the same files;
 the corpora entry is what shows a change to the generator itself.
@@ -50,7 +54,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 SEED = 4242  # one fixed input seed, so fingerprints of any two revisions compare
 ENTRIES = ("desk", "wide_vocab", "analyze_wide", "ab_grid", "verify", "cli_train",
-           "corpora")
+           "cli_eval", "corpora")
 LM_ENTRIES = ("desk", "wide_vocab")
 MODEL_ENTRIES = LM_ENTRIES + ("cli_train",)  # each leaves <work>/<name>/model.bin
 CLI_TRAIN_FLAGS = ("--epochs", "2", "--num-layers", "2", "--hidden-dim", "48",
@@ -98,7 +102,7 @@ def make_inputs(names, directory: str) -> dict:
     the path of each one's inputs.json. cli_train reads desk's."""
     paths = {}
     for name in names:
-        if name in ("verify", "cli_train", "corpora"):
+        if name in ("verify", "cli_train", "cli_eval", "corpora"):
             continue
         where = os.path.join(directory, name)
         inputs = bench_inputs.make_inputs(name, SEED, where)
@@ -109,13 +113,18 @@ def make_inputs(names, directory: str) -> dict:
 
 
 def run_entry(root: str, name: str, inputs: dict, work: str):
-    """(fields, result.json or None) of one entry run from the checkout at root."""
+    """(fields, result.json or None) of one entry run from the checkout at root.
+    cli_eval reads what cli_train left in work."""
     src = os.path.join(root, "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def advlm(*args, cwd, check=True):
+        return subprocess.run([sys.executable, "-m", "advlm.cli", *args], cwd=cwd,
+                              env=env, check=check, stdout=subprocess.PIPE, text=True)
+
     if name == "verify":
-        done = subprocess.run([sys.executable, "-m", "advlm.cli", "verify", "--seed", "0"],
-                              cwd=root, env=env, capture_output=True, text=True)
+        done = advlm("verify", "--seed", "0", cwd=root, check=False)
         line = next((ln for ln in done.stdout.splitlines() if " gradients:" in ln),
                     f"no gradients line (exit {done.returncode})")
         return {"gradients": line}, None
@@ -132,12 +141,20 @@ def run_entry(root: str, name: str, inputs: dict, work: str):
             corpus = json.load(fh)["corpus"]
         os.makedirs(out)
         shutil.copyfile(corpus, os.path.join(out, "corpus.txt"))
-        subprocess.run([sys.executable, "-m", "advlm.cli", "train", "--corpus", "corpus.txt",
-                        "--out", ".", *CLI_TRAIN_FLAGS], cwd=out, env=env, check=True,
-                       stdout=subprocess.DEVNULL)
+        advlm("train", "--corpus", "corpus.txt", "--out", ".", *CLI_TRAIN_FLAGS, cwd=out)
         fields = {f: sha256(os.path.join(out, f))
                   for f in ("model.bin", "vocab.tsv", "config.txt")}
         fields["log.csv without wall_s"] = log_sha256(os.path.join(out, "log.csv"))
+        return fields, None
+    if name == "cli_eval":
+        trained = os.path.join(work, "cli_train")
+        given = ("--checkpoint", os.path.join(trained, "model.bin"),
+                 "--corpus", os.path.join(trained, "corpus.txt"), "--split", "valid")
+        os.makedirs(out)
+        fields = {"eval": advlm("eval", *given, cwd=out).stdout.strip()}
+        advlm("analyze", *given, "--out", ".", "--seed", str(SEED), cwd=out)
+        fields.update({f: sha256(os.path.join(out, f))
+                       for f in ("report.json", "nn_distances.csv")})
         return fields, None
     subprocess.run([sys.executable, os.path.join(root, "perfbench", "program.py"),
                     "--workload", name, "--inputs", inputs[name], "--seed", str(SEED),
