@@ -17,30 +17,28 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 from .model import LMParams
 
-MODES = ("off", "fixed", "adaptive")
+MODES = ("fixed", "adaptive")
 
 
 @dataclass(frozen=True)
 class AdvConfig:
-    mode: str = "off"
+    mode: str = "fixed"
     value: float = 0.0
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"adv mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "off" and self.value != 0.0:
-            raise ConfigError("mode 'off' takes no value")
         if self.value < 0 or not np.isfinite(self.value):
             raise ConfigError(f"adv value must be finite and >= 0, got {self.value}")
 
     @classmethod
     def parse(cls, text: str) -> "AdvConfig":
-        """Parse 'off', 'fixed:EPS', or 'adaptive:ALPHA'."""
+        """Parse 'off' (radius 0), 'fixed:EPS', or 'adaptive:ALPHA'."""
         text = text.strip()
         if text == "off":
-            return cls("off")
+            return cls()
         head, sep, tail = text.partition(":")
-        if not sep or head not in ("fixed", "adaptive"):
+        if not sep or head not in MODES:
             raise ConfigError(f"cannot parse adv spec {text!r}")
         try:
             value = float(tail)
@@ -58,9 +56,7 @@ class AdvLossBatch:
 
 def epsilons(config: AdvConfig, rows: np.ndarray) -> np.ndarray:
     """Perturbation radius for each target embedding row of [N x d] rows:
-    0 (off), EPS (fixed), or ALPHA * ||w_target|| (adaptive)."""
-    if config.mode == "off":
-        return np.zeros(len(rows))
+    EPS (fixed) or ALPHA * ||w_target|| (adaptive)."""
     if config.mode == "fixed":
         return np.full(len(rows), config.value)
     return config.value * np.linalg.norm(rows, axis=1)

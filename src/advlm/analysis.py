@@ -14,7 +14,7 @@ import numpy as np
 
 from .advsoft import AdvConfig, _check_index, advsoft_prob, epsilons
 from .corpus import write_text_atomic
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, overflow_guard
 from .model import stream_contexts
 
 BOUND_SLACK = 1e-12
@@ -188,49 +188,56 @@ def diversity_report(W: np.ndarray, adv: AdvConfig,
                      probe_sets: list[tuple[str, np.ndarray]]) -> DiversityReport:
     """Full diagnostics over labeled probe batches, e.g. [("train", H),
     ("random", R)]. One recognized-word entry per (word, probe source).
-    NumericError for a W that is not finite or whose distances overflow."""
+    NumericError for a W that is not finite, or whose distances, radii or
+    margins overflow."""
     W = np.asarray(W, dtype=np.float64)
     sv = singular_values(W)  # first: it rejects a non-finite W at once
-    try:
-        with np.errstate(over="raise"):
-            nn = nearest_neighbor_distances(W)
-    except FloatingPointError as e:
-        raise NumericError(f"nearest-neighbour distances overflow: {e}") from None
-    eps_vec = epsilons(adv, W)
     seen = set()
     entries = []
-    for source, H in probe_sets:
-        H = np.atleast_2d(np.asarray(H, dtype=np.float64))
-        for w in _recognized_per_probe(W, H, eps_vec):
-            if w < 0 or (int(w), source) in seen:
-                continue
-            seen.add((int(w), source))
-            entries.append({
-                "word_id": int(w),
-                "probe_source": source,
-                "epsilon": float(eps_vec[w]),
-                "nn_distance": float(nn[w]),
-            })
+    with overflow_guard("diversity report"):
+        nn = nearest_neighbor_distances(W)
+        eps_vec = epsilons(adv, W)
+        for source, H in probe_sets:
+            H = np.atleast_2d(np.asarray(H, dtype=np.float64))
+            for w in _recognized_per_probe(W, H, eps_vec):
+                if w < 0 or (int(w), source) in seen:
+                    continue
+                seen.add((int(w), source))
+                entries.append({
+                    "word_id": int(w),
+                    "probe_source": source,
+                    "epsilon": float(eps_vec[w]),
+                    "nn_distance": float(nn[w]),
+                })
     entries.sort(key=lambda e: (e["word_id"], e["probe_source"]))
     return DiversityReport(nn, sv, sv_entropy(sv), entries)
 
 
 def context_probes(params, stream, num_random: int, rng: np.random.Generator):
     """Default probe sets: every context vector from one evaluation pass over
-    the stream, plus random unit vectors scaled to the median context norm."""
-    H = np.vstack([contexts.values for contexts, _ in stream_contexts(params, stream)])
+    the stream, plus random unit vectors scaled to the median context norm.
+    num_random is checked before the pass, and an overflow in the pass is
+    NumericError."""
+    _check_num_random(num_random, params.config.embed_dim)
+    with overflow_guard("context pass"):
+        H = np.vstack([contexts.values
+                       for contexts, _ in stream_contexts(params, stream)])
     return [("train", H), ("random", random_probes(H, num_random, rng))]
+
+
+def _check_num_random(num_random: int, dim: int) -> None:
+    if num_random < 0:
+        raise ConfigError(f"num_random must be >= 0, got {num_random}")
+    if 8 * num_random * dim > np.iinfo(np.intp).max:
+        raise ConfigError(f"num_random {num_random} x dim {dim}: the "
+                          f"float64 probes do not fit in an address space")
 
 
 def random_probes(rows: np.ndarray, num_random: int,
                   rng: np.random.Generator) -> np.ndarray:
     """num_random random directions scaled to the median norm of rows (to 1
     when that median is 0)."""
-    if num_random < 0:
-        raise ConfigError(f"num_random must be >= 0, got {num_random}")
-    if 8 * num_random * rows.shape[1] > np.iinfo(np.intp).max:
-        raise ConfigError(f"num_random {num_random} x dim {rows.shape[1]}: the "
-                          f"float64 probes do not fit in an address space")
+    _check_num_random(num_random, rows.shape[1])
     scale = float(np.median(np.linalg.norm(rows, axis=1))) or 1.0
     R = rng.normal(size=(num_random, rows.shape[1]))
     R *= scale / np.linalg.norm(R, axis=1, keepdims=True)

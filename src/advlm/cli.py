@@ -9,6 +9,7 @@ all output files are written atomically. Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import dataclass
@@ -33,8 +34,11 @@ class Opt:
     help: str
 
 
-# Every key has a documented default; this table drives file parsing, flag
-# generation, and serialization, so the three surfaces cannot drift apart.
+# Every key has a documented default, read from the library where it defines
+# one; this table drives file parsing, flag generation, and serialization, so
+# the three surfaces cannot drift apart.
+DEFAULTS = {name: p.default for obj in (TrainConfig, LMConfig, build_vocab)
+            for name, p in inspect.signature(obj).parameters.items()}
 TRAIN_SCHEMA = {
     "corpus": Opt(str, "", "single corpus file, split 90/10 into train/valid"),
     "train": Opt(str, "", "training corpus file (requires valid)"),
@@ -44,17 +48,20 @@ TRAIN_SCHEMA = {
     "epochs": Opt(int, 20, "number of training epochs"),
     "batch_size": Opt(int, 32, "sequences per batch"),
     "bptt_len": Opt(int, 32, "steps per truncated-backprop window"),
-    "learning_rate": Opt(float, 4.0, "SGD learning rate"),
-    "grad_clip": Opt(float, 0.25, "global gradient-norm clip"),
-    "seed": Opt(int, 0, "RNG seed (ADVLM_SEED overrides this default)"),
+    "learning_rate": Opt(float, DEFAULTS["learning_rate"], "SGD learning rate"),
+    "grad_clip": Opt(float, DEFAULTS["grad_clip"], "global gradient-norm clip"),
+    "seed": Opt(int, DEFAULTS["seed"], "RNG seed (ADVLM_SEED overrides this default)"),
     "embed_dim": Opt(int, 64, "embedding width (also output width, tied)"),
-    "hidden_dim": Opt(int, 0, "LSTM width for non-final layers; 0 = embed_dim"),
-    "num_layers": Opt(int, 1, "number of LSTM layers"),
-    "init_range": Opt(float, 0.1, "uniform init range for all weights"),
+    "hidden_dim": Opt(int, DEFAULTS["hidden_dim"],
+                      "LSTM width for non-final layers; 0 = embed_dim"),
+    "num_layers": Opt(int, DEFAULTS["num_layers"], "number of LSTM layers"),
+    "init_range": Opt(float, DEFAULTS["init_range"], "uniform init range for all weights"),
     "input_noise_start": Opt(float, 0.2, "input noise std at epoch 0"),
-    "input_noise_end": Opt(float, 0.0, "input noise std at the last epoch"),
-    "eval_interval": Opt(int, 1, "validate every this many epochs"),
-    "min_count": Opt(int, 1, "map tokens rarer than this to <unk>"),
+    "input_noise_end": Opt(float, DEFAULTS["input_noise_end"],
+                           "input noise std at the last epoch"),
+    "eval_interval": Opt(int, DEFAULTS["eval_interval"],
+                         "validate every this many epochs"),
+    "min_count": Opt(int, DEFAULTS["min_count"], "map tokens rarer than this to <unk>"),
 }
 
 
@@ -156,10 +163,11 @@ def cmd_train(args) -> int:
         except ConfigError as exc:
             raise ConfigError(f"{side} side: {exc}") from exc
     train_stream, valid_stream = streams
+    # built before --out exists: a model that does not fit leaves no run directory
+    params = init_params(lm_cfg, cfg["seed"])
     os.makedirs(cfg["out"], exist_ok=True)
     vocab.save(os.path.join(cfg["out"], "vocab.tsv"))
     write_text_atomic(os.path.join(cfg["out"], "config.txt"), serialize_config(cfg))
-    params = init_params(lm_cfg, cfg["seed"])
     print(f"vocab_size={len(vocab)}")
     print(LOG_HEADER)
 
@@ -278,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze",
                           help="write embedding-diversity report and CSV")
     add_eval_flags(p_an, False)
-    p_an.add_argument("--adv", default="off",
+    p_an.add_argument("--adv", default=TRAIN_SCHEMA["adv"].default,
                       help="perturbation used for recognizability "
                            "(off, fixed:EPS, adaptive:ALPHA)")
     p_an.add_argument("--out", default=".", help="output directory")

@@ -122,7 +122,7 @@ def load_split(corpus_path: str | None):
 def run_one(train_ids: np.ndarray, valid_ids: np.ndarray, vocab_size: int,
             alpha: float, seed: int) -> RunResult:
     t0 = time.perf_counter()
-    adv = AdvConfig("off") if alpha == 0.0 else AdvConfig("adaptive", alpha)
+    adv = AdvConfig("adaptive", alpha)
     cfg = replace(ACCEPTANCE, seed=seed, adv=adv)
     params = init_params(LMConfig(vocab_size, EMBED_DIM), seed)
     log = train(params, batchify(train_ids, cfg.batch_size, cfg.bptt_len),

@@ -103,14 +103,13 @@ def zero_state(config: LMConfig, batch_size: int) -> list:
             for h in config.layer_sizes]
 
 
-def forward(params: LMParams, input_ids: np.ndarray, state: list,
-            input_noise_std: float = 0.0, rng: np.random.Generator | None = None):
+def forward(params: LMParams, input_ids: np.ndarray, state: list, noise=None):
     """Run the stack over a [L x B] id window from state, per-layer (h, c) arrays.
 
     Returns (contexts, new_state) where contexts is [(L*B) x embed_dim],
-    time-major, and new_state is the next window's state. Noise is added to
-    looked-up input embeddings only; the output-side use of the embedding
-    matrix never sees it.
+    time-major, and new_state is the next window's state. noise, if given, is
+    an [(L*B) x embed_dim] array added to the looked-up input embeddings in
+    row order; the output-side use of the embedding matrix never sees it.
     """
     input_ids = np.asarray(input_ids)
     if input_ids.ndim != 2:
@@ -122,16 +121,8 @@ def forward(params: LMParams, input_ids: np.ndarray, state: list,
     B = input_ids.shape[1]
     if state[0][0].shape[0] != B:
         raise ShapeError(f"state batch size {state[0][0].shape[0]} != input batch size {B}")
-    if input_noise_std > 0 and rng is None:
-        raise ConfigError("input_noise_std > 0 requires an rng")
 
-    ids = input_ids.reshape(-1)
-    noise = None
-    if input_noise_std > 0:
-        # one draw in row order: the same stream as one [B x d] draw per step
-        noise = rng.normal(0.0, input_noise_std,
-                           size=(ids.size, params.config.embed_dim))
-    x = ad.gather_rows(params.embedding, ids, noise)
+    x = ad.gather_rows(params.embedding, input_ids.reshape(-1), noise)
     new_state = []
     for layer, (h, c) in zip(params.layers, state):
         x, h, c = ad.lstm_layer(x, layer.w_x, layer.w_h, layer.bias, h, c)

@@ -18,7 +18,7 @@ import numpy as np
 from .advsoft import AdvConfig, adv_nll_loss
 from .autodiff import Tape
 from .corpus import BatchStream, write_text_atomic
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, overflow_guard
 from .model import LMParams, forward, stream_contexts, zero_state
 
 LOG_HEADER = "epoch,train_ppl,valid_ppl,wall_s,noise_std,mean_eps"
@@ -149,8 +149,8 @@ def noise_schedule(epoch: int, total_epochs: int, start: float, end: float) -> f
 
 def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
                 epoch: int) -> EpochStats:
-    """One pass over the stream: forward, adversarial loss, backward, step.
-    A window whose numbers overflow raises NumericError naming it."""
+    """One pass over the stream: noise, forward, adversarial loss, backward,
+    step. A window whose numbers overflow raises NumericError naming it."""
     std = noise_schedule(epoch, config.epochs, config.input_noise_start,
                          config.input_noise_end)
     rng = np.random.default_rng([config.seed, epoch])
@@ -158,15 +158,15 @@ def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
     total_nll = 0.0
     eps_sum = 0.0
     for w_idx, (inputs, targets) in enumerate(stream.windows()):
-        try:
-            with np.errstate(over="raise"):
-                with Tape() as tape:
-                    contexts, state = forward(params, inputs, state, std, rng)
-                    batch = adv_nll_loss(params, contexts, targets, config.adv)
-                    tape.backward(batch.loss)
-                sgd_step(params, config.learning_rate, config.grad_clip)
-        except (NumericError, FloatingPointError) as e:
-            raise NumericError(f"epoch {epoch}, window {w_idx}: {e}")
+        with overflow_guard(f"epoch {epoch}, window {w_idx}"):
+            # one draw in row order: the same stream as one [B x d] draw per step
+            noise = (rng.normal(0.0, std, size=(inputs.size, params.config.embed_dim))
+                     if std > 0 else None)
+            with Tape() as tape:
+                contexts, state = forward(params, inputs, state, noise)
+                batch = adv_nll_loss(params, contexts, targets, config.adv)
+                tape.backward(batch.loss)
+            sgd_step(params, config.learning_rate, config.grad_clip)
         total_nll += batch.total
         eps_sum += float(batch.epsilons.sum())
     return EpochStats(total_nll, std, eps_sum / stream.num_targets)
@@ -174,10 +174,10 @@ def train_epoch(params: LMParams, stream: BatchStream, config: TrainConfig,
 
 def evaluate(params: LMParams, stream: BatchStream, side: str = "evaluation") -> float:
     """Perplexity exp(total NLL / tokens) under the plain softmax; side names
-    the stream if that is not finite (NumericError)."""
-    off = AdvConfig("off")
-    total = sum(adv_nll_loss(params, contexts, targets, off).total
-                for contexts, targets in stream_contexts(params, stream))
+    the stream if it overflows or is not finite (NumericError)."""
+    with overflow_guard(side):
+        total = sum(adv_nll_loss(params, contexts, targets, AdvConfig()).total
+                    for contexts, targets in stream_contexts(params, stream))
     return perplexity(total, stream.num_targets, side)
 
 

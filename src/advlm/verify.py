@@ -120,8 +120,8 @@ def _op_cases(rng):
     hh, ww = t(n, m), t(V, m)
     y = rng.integers(0, V, size=n)
     hnorm = np.linalg.norm(hh.values, axis=1)
-    for adv in (AdvConfig("off"), AdvConfig("fixed", 0.7), AdvConfig("adaptive", 0.3)):
-        yield (f"nll_rows {adv.mode}",
+    for adv in (AdvConfig(), AdvConfig("fixed", 0.7), AdvConfig("adaptive", 0.3)):
+        yield (f"nll_rows {adv.mode}:{adv.value:g}",
                lambda s=epsilons(adv, ww.values[y]) * hnorm:
                    ad.nll_rows(hh, ww, y, s)[0],
                [hh, ww])
@@ -144,7 +144,6 @@ def verify_gradients(seed: int, instances: int) -> SuiteResult:
     # is the true derivative, i.e. with the perturbation off; the detached
     # eps*||h|| path is checked against its analytic form below
     worst_model = 0.0
-    off = AdvConfig("off")
     shapes = [(1, 4), (1, 4), (2, 3)]
     for trial, (layers, d) in enumerate(shapes):
         cfg = LMConfig(vocab_size=8, embed_dim=d, num_layers=layers,
@@ -155,7 +154,7 @@ def verify_gradients(seed: int, instances: int) -> SuiteResult:
 
         def model_loss():
             contexts, _ = forward(params, ids, zero_state(cfg, 2))
-            return adv_nll_loss(params, contexts, targets, off).loss
+            return adv_nll_loss(params, contexts, targets, AdvConfig()).loss
 
         worst_model = max(worst_model, _fd_check(model_loss, params.tensors(), rng))
         checked += 1

@@ -26,7 +26,7 @@ def _softmax(logits):
 
 class TestAdvConfig:
     def test_parse_specs(self):
-        for text, mode, value in (("off", "off", 0.0), ("fixed:0.5", "fixed", 0.5),
+        for text, mode, value in (("off", "fixed", 0.0), ("fixed:0.5", "fixed", 0.5),
                                   (" adaptive:0.005 ", "adaptive", 0.005),
                                   ("adaptive:0.1234567", "adaptive", 0.1234567)):
             cfg = AdvConfig.parse(text)
@@ -37,10 +37,6 @@ class TestAdvConfig:
             with pytest.raises(ConfigError):
                 AdvConfig.parse(text)
 
-    def test_off_takes_no_value(self):
-        with pytest.raises(ConfigError):
-            AdvConfig("off", 0.5)
-
     def test_zero_allowed_for_fixed_and_adaptive(self):
         assert AdvConfig.parse("fixed:0").value == 0.0
         assert AdvConfig.parse("adaptive:0").value == 0.0
@@ -49,7 +45,7 @@ class TestAdvConfig:
 class TestEpsilonForTarget:
     def test_modes(self):
         rows = np.array([[2.0, 0.0], [0.0, 4.0]])
-        np.testing.assert_array_equal(epsilons(AdvConfig("off"), rows), [0.0, 0.0])
+        np.testing.assert_array_equal(epsilons(AdvConfig(), rows), [0.0, 0.0])
         np.testing.assert_array_equal(epsilons(AdvConfig("fixed", 0.3), rows), [0.3, 0.3])
         np.testing.assert_allclose(epsilons(AdvConfig("adaptive", 0.005), rows),
                                    [0.01, 0.02], rtol=1e-15)
@@ -211,7 +207,7 @@ class TestAdvNllLoss:
 
     def test_off_equals_cross_entropy_bitwise(self):
         params, H, targets = self._setup()
-        batch = adv_nll_loss(params, H, targets, AdvConfig("off"))
+        batch = adv_nll_loss(params, H, targets, AdvConfig())
         z = H.values @ params.embedding.values.T
         m = z.max(axis=1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
@@ -222,7 +218,7 @@ class TestAdvNllLoss:
 
     def test_fixed_zero_identical_to_off(self):
         params, H, targets = self._setup(seed=1)
-        a = adv_nll_loss(params, H, targets, AdvConfig("off"))
+        a = adv_nll_loss(params, H, targets, AdvConfig())
         b = adv_nll_loss(params, H, targets, AdvConfig("fixed", 0.0))
         assert a.total == b.total
 
@@ -244,7 +240,7 @@ class TestAdvNllLoss:
 
     def test_adv_loss_exceeds_plain_loss(self):
         params, H, targets = self._setup(seed=3)
-        plain = adv_nll_loss(params, H, targets, AdvConfig("off")).total
+        plain = adv_nll_loss(params, H, targets, AdvConfig()).total
         adv = adv_nll_loss(params, H, targets, AdvConfig("fixed", 0.5)).total
         assert adv > plain
 
@@ -295,7 +291,7 @@ class TestAdvNllLoss:
     def test_eps_zero_gradient_matches_softmax_fd(self):
         params, H, targets = self._setup(seed=7)
         with Tape() as tape:
-            batch = adv_nll_loss(params, H, targets, AdvConfig("off"))
+            batch = adv_nll_loss(params, H, targets, AdvConfig())
             tape.backward(batch.loss)
 
         def value():
@@ -311,11 +307,11 @@ class TestAdvNllLoss:
     def test_shape_mismatch_rejected(self):
         params, H, targets = self._setup()
         with pytest.raises(ShapeError):
-            adv_nll_loss(params, H, targets[:1], AdvConfig("off"))
+            adv_nll_loss(params, H, targets[:1], AdvConfig())
 
     def test_target_out_of_range_rejected(self):
         params, H, _ = self._setup()
         bad = np.array([[0, 1], [2, 9]])
         with pytest.raises(IndexError):
-            adv_nll_loss(params, H, bad, AdvConfig("off"))
+            adv_nll_loss(params, H, bad, AdvConfig())
 

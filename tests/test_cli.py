@@ -16,7 +16,8 @@ from advlm.cli import (TRAIN_SCHEMA, main, parse_config, resolve_seed,
                        serialize_config, split_tokens)
 from advlm.corpus import Vocab, batchify, read_tokens
 from advlm.errors import ConfigError, NumericError
-from advlm.model import LMConfig, init_params, load_checkpoint, save_checkpoint
+from advlm.model import (LMConfig, init_params, load_checkpoint, save_checkpoint,
+                         stream_contexts)
 from advlm.experiment import bundled_corpus_path
 from advlm.train import LOG_HEADER, TrainConfig, TrainLog, evaluate, train
 
@@ -319,8 +320,7 @@ class TestTrainCommand:
         cases = [(train + ["--adv", "adaptive:1e300"], "epoch 0: training"),
                  (scaled, "--split valid")]
         for argv, side in cases:
-            with np.errstate(all="ignore"):  # the overflows under test
-                assert main(argv) == 3, argv
+            assert main(argv) == 3, argv
             err = capsys.readouterr().err
             assert f"error: {side} perplexity is not finite" in err, argv
             assert "Traceback" not in err, argv
@@ -398,6 +398,23 @@ class TestTrainCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    def test_model_that_does_not_fit_leaves_no_out(self, tmp_path, monkeypatch,
+                                                    capsys):
+        # the parameters are built before --out exists; the MemoryError is
+        # raised without allocating an oversized model
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 1.7 TiB")
+
+        monkeypatch.setattr("advlm.cli.init_params", no_memory)
+        corpus = tmp_path / "c.txt"
+        make_corpus(corpus, num_lines=20)
+        out = tmp_path / "o"
+        argv = ["train", "--corpus", str(corpus), "--out", str(out), "--epochs", "1"]
+        assert main(argv + TRAIN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_adv_spec(self, tmp_path):
         corpus = tmp_path / "c.txt"
@@ -533,6 +550,45 @@ class TestEvalCommand:
         assert err == "error: --split valid perplexity is not finite: mean NLL nan\n"
 
 
+def _scaled_checkpoint(trained_run, tmp_path, factor):
+    """trained_run's checkpoint with every tensor times factor."""
+    params = load_checkpoint(str(trained_run["out"] / "model.bin"))
+    for t in params.tensors():
+        t.values *= factor
+    path = tmp_path / "model.bin"
+    save_checkpoint(params, str(path))
+    return path
+
+
+def _run_unwarned(argv):
+    """main(argv)'s exit code and the RuntimeWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestUntapedOverflow:
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_overflowing_pass_exits_3(self, trained_run, tmp_path, capsys, command):
+        # every tensor x1e200: the untaped pass's first matmul overflows
+        out = tmp_path / "report"
+        scaled = _scaled_checkpoint(trained_run, tmp_path, 1e200)
+        argv = [command, "--checkpoint", str(scaled),
+                "--vocab", str(trained_run["out"] / "vocab.tsv"),
+                "--corpus", str(trained_run["corpus"]), "--batch-size", "2",
+                "--bptt-len", "4"]
+        if command == "analyze":
+            argv += ["--out", str(out)]
+        rc, warned = _run_unwarned(argv)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and "overflow" in err
+        assert "Traceback" not in err
+        assert not warned
+        assert not out.exists()
+
+
 REPORT_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -644,6 +700,47 @@ class TestAnalyzeCommand:
         assert not out.exists()
         warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not warned
+
+    @pytest.mark.parametrize("adv", ["adaptive:1e308", "fixed:1e308"])
+    def test_overflowing_radii_exit_3(self, tmp_path, capsys, adv):
+        # rows and random probes of norm about 4.6 (d=64, init range 1): the
+        # adaptive radius or the fixed margin eps*||h|| overflows
+        params = init_params(LMConfig(vocab_size=12, embed_dim=64, init_range=1.0), 0)
+        save_checkpoint(params, str(tmp_path / "model.bin"))
+        out = tmp_path / "report"
+        rc, warned = _run_unwarned(["analyze", "--checkpoint", str(tmp_path / "model.bin"),
+                                    "--adv", adv, "--out", str(out), "--num-random", "10"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and "overflow" in err
+        assert "Traceback" not in err
+        assert not warned
+        assert not out.exists()
+
+    @pytest.mark.parametrize("num_random,code", [(-1, 2), (2 ** 61, 2), (3, 0)],
+                             ids=["negative", "past_address_space", "valid"])
+    def test_num_random_checked_before_the_context_pass(
+            self, trained_run, tmp_path, capsys, monkeypatch, num_random, code):
+        windows = []
+
+        def counting(params, stream):
+            for item in stream_contexts(params, stream):
+                windows.append(1)
+                yield item
+
+        monkeypatch.setattr("advlm.analysis.stream_contexts", counting)
+        out = tmp_path / "report"
+        rc = main(["analyze", "--checkpoint", str(trained_run["out"] / "model.bin"),
+                   "--corpus", str(trained_run["corpus"]), "--out", str(out),
+                   "--num-random", str(num_random), "--batch-size", "2",
+                   "--bptt-len", "4"])
+        err = capsys.readouterr().err
+        assert rc == code
+        if code == 2:
+            assert "num_random" in err and "Traceback" not in err
+            assert not windows and not out.exists()
+        else:
+            assert len(windows) > 0
 
     def test_corrupt_checkpoint_exit_4(self, tmp_path, capsys):
         bad = tmp_path / "model.bin"

@@ -118,7 +118,7 @@ class TestLoadSplit:
 
 class TestRunOne:
     @pytest.mark.parametrize("alpha,adv", [(ADV_ALPHA, AdvConfig("adaptive", 0.005)),
-                                           (BASELINE_ALPHA, AdvConfig("off"))],
+                                           (BASELINE_ALPHA, AdvConfig("adaptive", 0.0))],
                              ids=["adaptive", "baseline"])
     def test_acceptance_recipe(self, monkeypatch, alpha, adv):
         seen = []

@@ -28,7 +28,7 @@ from reference import mle_loss_value as _mle_loss_value
 
 def _mle_loss_taped(params, input_ids, targets):
     contexts, _ = forward(params, input_ids, zero_state(params.config, input_ids.shape[1]))
-    return adv_nll_loss(params, contexts, targets, AdvConfig("off")).loss
+    return adv_nll_loss(params, contexts, targets, AdvConfig()).loss
 
 
 def _mle_mean_value(params, input_ids, targets):
@@ -143,20 +143,23 @@ class TestForward:
         params = init_params(cfg, 1)
         before = params.embedding.values.copy()
         ids = np.array([[0, 1], [2, 3]])
-        a, _ = forward(params, ids, zero_state(cfg, 2), 0.2, np.random.default_rng(5))
-        b, _ = forward(params, ids, zero_state(cfg, 2), 0.2, np.random.default_rng(5))
+        noise = np.random.default_rng(5).normal(0.0, 0.2, size=(4, 3))
+        kept = noise.copy()
+        a, _ = forward(params, ids, zero_state(cfg, 2), noise)
+        b, _ = forward(params, ids, zero_state(cfg, 2), noise)
         clean, _ = forward(params, ids, zero_state(cfg, 2))
         np.testing.assert_array_equal(a.values, b.values)
         assert np.abs(a.values - clean.values).max() > 0
         np.testing.assert_array_equal(params.embedding.values, before)
+        np.testing.assert_array_equal(noise, kept)
 
     def test_noise_stream_matches_per_step_draws(self):
         # one [(L*B) x d] draw per window equals one [B x d] draw per step
         cfg = LMConfig(vocab_size=7, embed_dim=3, hidden_dim=4, num_layers=2)
         params = init_params(cfg, 2)
         ids = np.array([[1, 2], [3, 4], [5, 6]])
-        contexts, _ = forward(params, ids, zero_state(cfg, 2), 0.3,
-                              np.random.default_rng(8))
+        noise = np.random.default_rng(8).normal(0.0, 0.3, size=(6, 3))
+        contexts, _ = forward(params, ids, zero_state(cfg, 2), noise)
         rng = np.random.default_rng(8)
         hs = [np.zeros((2, H)) for H in cfg.layer_sizes]
         cs = [np.zeros((2, H)) for H in cfg.layer_sizes]
@@ -167,12 +170,6 @@ class TestForward:
                                                layer.bias.values, x, hs[k], cs[k])
                 x = hs[k]
             np.testing.assert_allclose(contexts.values[2 * t:2 * t + 2], x, atol=1e-12)
-
-    def test_noise_requires_rng(self):
-        cfg = LMConfig(vocab_size=5, embed_dim=3)
-        params = init_params(cfg, 1)
-        with pytest.raises(ConfigError):
-            forward(params, np.array([[0]]), zero_state(cfg, 1), 0.2, None)
 
     def test_shape_errors(self):
         cfg = LMConfig(vocab_size=5, embed_dim=3)
@@ -290,7 +287,7 @@ class TestDetachState:
         with Tape() as tape:
             _, state = forward(params, ids1, zero_state(cfg, 2))
             contexts, _ = forward(params, ids2, state)
-            batch = adv_nll_loss(params, contexts, targets2, AdvConfig("off"))
+            batch = adv_nll_loss(params, contexts, targets2, AdvConfig())
             tape.backward(batch.loss)
         grads = {name: t.grad.copy() for name, t in params.named_tensors()}
 
@@ -299,7 +296,7 @@ class TestDetachState:
         injected = [(h.copy(), c.copy()) for h, c in state]
         with Tape() as tape:
             contexts, _ = forward(ref, ids2, injected)
-            batch = adv_nll_loss(ref, contexts, targets2, AdvConfig("off"))
+            batch = adv_nll_loss(ref, contexts, targets2, AdvConfig())
             tape.backward(batch.loss)
         for name, t in ref.named_tensors():
             np.testing.assert_array_equal(grads[name], t.grad, err_msg=name)

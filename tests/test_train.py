@@ -39,7 +39,7 @@ class TestTrainConfig:
         assert cfg.learning_rate == 4.0
         assert cfg.grad_clip == 0.25
         assert cfg.seed == 0
-        assert cfg.adv == AdvConfig("off")
+        assert cfg.adv == AdvConfig()
         assert cfg.input_noise_end == 0.0
         assert cfg.eval_interval == 1
 
@@ -173,7 +173,7 @@ class TestTrainEpoch:
         base = dict(epochs=1, batch_size=2, bptt_len=5, learning_rate=0.0,
                     input_noise_start=0.0)
         off = train_epoch(init_params(cfg, 3), stream,
-                          TrainConfig(**base, adv=AdvConfig("off")), 0)
+                          TrainConfig(**base, adv=AdvConfig()), 0)
         adv = train_epoch(init_params(cfg, 3), stream,
                           TrainConfig(**base, adv=AdvConfig("fixed", 0.5)), 0)
         assert adv.nll > off.nll
@@ -379,20 +379,27 @@ class TestTrain:
         params, ids, _ = self._setup()
         drawn, per_epoch = [], []
 
-        def recording_forward(params, inputs, state, input_noise_std, rng):
-            drawn.append(input_noise_std)
-            return advlm.model.forward(params, inputs, state, input_noise_std, rng)
+        def recording_forward(params, inputs, state, noise):
+            drawn.append(noise)
+            return advlm.model.forward(params, inputs, state, noise)
 
         def epoch_done(log):
-            per_epoch.append(set(drawn))
+            per_epoch.append(list(drawn))
             drawn.clear()
 
         monkeypatch.setattr(advlm.train, "forward", recording_forward)
         cfg = TrainConfig(epochs=3, batch_size=2, bptt_len=5, learning_rate=0.0,
-                          input_noise_start=0.3, input_noise_end=0.1)
-        log = train(params, batchify(ids, 2, 5), None, cfg, progress=epoch_done)
+                          input_noise_start=0.3, input_noise_end=0.1, seed=7)
+        stream = batchify(ids, 2, 5)
+        log = train(params, stream, None, cfg, progress=epoch_done)
         for e, (row, seen) in enumerate(zip(log.rows, per_epoch, strict=True)):
-            assert seen == {row.noise_std} == {noise_schedule(e, 3, 0.3, 0.1)}
+            std = noise_schedule(e, 3, 0.3, 0.1)
+            assert row.noise_std == std
+            # one draw per window, in row order, from the epoch's own stream
+            rng = np.random.default_rng([7, e])
+            assert len(seen) == stream.num_windows
+            for noise in seen:
+                np.testing.assert_array_equal(noise, rng.normal(0.0, std, size=(10, 4)))
 
 
 class TestTrainLog:
