@@ -171,17 +171,9 @@ class DiversityReport:
     sv_entropy: float
     recognized_words: list[dict]
 
-    def to_dict(self) -> dict:
-        return {
-            "nn_distances": [float(x) for x in self.nn_distances],
-            "singular_values_normalized":
-                [float(x) for x in self.singular_values_normalized],
-            "sv_entropy": float(self.sv_entropy),
-            "recognized_words": self.recognized_words,
-        }
-
     def save(self, path: str) -> None:
-        write_text_atomic(path, json.dumps(self.to_dict(), indent=1) + "\n")
+        write_text_atomic(path, json.dumps(vars(self), indent=1,
+                                           default=np.ndarray.tolist) + "\n")
 
 
 def diversity_report(W: np.ndarray, adv: AdvConfig,

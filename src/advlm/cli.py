@@ -9,7 +9,9 @@ all output files are written atomically. Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
+import io
 import os
 import sys
 from dataclasses import dataclass
@@ -86,14 +88,22 @@ def parse_config(text: str) -> dict:
 
 
 def serialize_config(cfg: dict) -> str:
-    """Canonical text form; floats use repr so parsing back is exact."""
+    """Canonical text form; floats use repr so parsing back is exact. A value
+    that parse_config would not return (a string holding '#', a line break
+    or surrounding blanks) is a ConfigError naming its key."""
     lines = []
     for key in TRAIN_SCHEMA:
         if key not in cfg:
             continue
         value = cfg[key]
-        text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {text}")
+        line = f"{key} = {repr(value) if isinstance(value, float) else value}"
+        try:
+            same = parse_config(line) == {key: value}
+        except ConfigError:
+            same = False
+        if not same:
+            raise ConfigError(f"{key} = {value!r} does not read back from a config file")
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -163,11 +173,13 @@ def cmd_train(args) -> int:
         except ConfigError as exc:
             raise ConfigError(f"{side} side: {exc}") from exc
     train_stream, valid_stream = streams
-    # built before --out exists: a model that does not fit leaves no run directory
+    # both before --out exists: a config that does not read back, or a model
+    # that does not fit, leaves no run directory
+    config_text = serialize_config(cfg)
     params = init_params(lm_cfg, cfg["seed"])
     os.makedirs(cfg["out"], exist_ok=True)
     vocab.save(os.path.join(cfg["out"], "vocab.tsv"))
-    write_text_atomic(os.path.join(cfg["out"], "config.txt"), serialize_config(cfg))
+    write_text_atomic(os.path.join(cfg["out"], "config.txt"), config_text)
     print(f"vocab_size={len(vocab)}")
     print(LOG_HEADER)
 
@@ -231,11 +243,11 @@ def cmd_analyze(args) -> int:
     report = diversity_report(W, adv, probes)
     os.makedirs(args.out, exist_ok=True)
     report.save(os.path.join(args.out, "report.json"))
-    rows = ["word,nn_distance"]
-    rows += ["%s,%.9g" % (words[i], d)
-             for i, d in enumerate(report.nn_distances)]
-    write_text_atomic(os.path.join(args.out, "nn_distances.csv"),
-                      "\n".join(rows) + "\n")
+    buf = io.StringIO()
+    rows = csv.writer(buf, lineterminator="\n")  # quotes a token holding , or "
+    rows.writerow(["word", "nn_distance"])
+    rows.writerows((words[i], "%.9g" % d) for i, d in enumerate(report.nn_distances))
+    write_text_atomic(os.path.join(args.out, "nn_distances.csv"), buf.getvalue())
     print("median_nn_distance=%.6g" % float(np.median(report.nn_distances)))
     print("sv_entropy=%.6g" % report.sv_entropy)
     print("recognized_words=%d" % len(report.recognized_words))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .autodiff import Tensor
 from .errors import CheckpointError, ConfigError, ShapeError
 
 CHECKPOINT_MAGIC = b"ADVLM001"
+CONFIG_HEADER = struct.Struct("<4qd")  # LMConfig's fields, in declared order
 
 
 @dataclass(frozen=True)
@@ -70,15 +71,12 @@ class LMParams:
     embedding: Tensor
     layers: list[LayerParams]
 
-    def named_tensors(self):
-        yield "embedding", self.embedding
-        for k, layer in enumerate(self.layers):
-            yield f"layer{k}.w_x", layer.w_x
-            yield f"layer{k}.w_h", layer.w_h
-            yield f"layer{k}.bias", layer.bias
-
     def tensors(self):
-        return [t for _, t in self.named_tensors()]
+        return [self.embedding] + [t for layer in self.layers
+                                   for t in (layer.w_x, layer.w_h, layer.bias)]
+
+    def named_tensors(self):
+        return zip((name for name, _ in _expected_shapes(self.config)), self.tensors())
 
 
 def _build_params(config: LMConfig, arrays) -> LMParams:
@@ -171,18 +169,15 @@ def _read_tensor(fh, name: str, shape: tuple) -> np.ndarray:
 
 
 def save_checkpoint(params: LMParams, path: str) -> None:
-    """Binary format: magic, 4 int64 config fields, init_range float64, then
-    each tensor from named_tensors() as (rank, dims, float64 data), all
-    little-endian. Written atomically."""
-    cfg = params.config
+    """Binary format: magic, LMConfig's fields as CONFIG_HEADER, then each
+    tensor from tensors() as (rank, dims, float64 data), all little-endian.
+    Written atomically."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<4q", cfg.vocab_size, cfg.embed_dim,
-                                 cfg.hidden_dim, cfg.num_layers))
-            fh.write(struct.pack("<d", cfg.init_range))
-            for _, t in params.named_tensors():
+            fh.write(CONFIG_HEADER.pack(*astuple(params.config)))
+            for t in params.tensors():
                 _write_tensor(fh, t.values)
         os.replace(tmp, path)
     except OSError as e:
@@ -198,10 +193,9 @@ def load_checkpoint(path: str) -> LMParams:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        v, d, h, n = struct.unpack("<4q", _read_exact(fh, 32, "config"))
-        (init_range,) = struct.unpack("<d", _read_exact(fh, 8, "config"))
+        header = CONFIG_HEADER.unpack(_read_exact(fh, CONFIG_HEADER.size, "config"))
         try:
-            cfg = LMConfig(v, d, h, n, init_range)
+            cfg = LMConfig(*header)
         except ConfigError as e:
             raise CheckpointError(f"{path}: invalid config: {e}")
         params = _build_params(cfg, (_read_tensor(fh, name, shape)
@@ -212,8 +206,8 @@ def load_checkpoint(path: str) -> LMParams:
 
 
 def _expected_shapes(cfg: LMConfig):
-    """(name, shape) of every tensor in named_tensors() order, generated
-    lazily: the one statement of the parameter layout."""
+    """(name, shape) of every tensor in tensors() order, generated lazily:
+    the one statement of the parameter layout and its names."""
     yield "embedding", (cfg.vocab_size, cfg.embed_dim)
     in_dim = cfg.embed_dim
     for k in range(cfg.num_layers):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -20,8 +20,6 @@ from .autodiff import Tape
 from .corpus import BatchStream, write_text_atomic
 from .errors import ConfigError, NumericError, overflow_guard
 from .model import LMParams, forward, stream_contexts, zero_state
-
-LOG_HEADER = "epoch,train_ppl,valid_ppl,wall_s,noise_std,mean_eps"
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,11 @@ class LogRow:
     mean_eps: float
 
     def as_csv(self) -> str:
-        return "%d,%.9g,%.9g,%.9g,%.9g,%.9g" % (
-            self.epoch, self.train_ppl, self.valid_ppl, self.wall_s,
-            self.noise_std, self.mean_eps)
+        epoch, *rest = astuple(self)
+        return ",".join(["%d" % epoch] + ["%.9g" % x for x in rest])
+
+
+LOG_HEADER = ",".join(f.name for f in fields(LogRow))
 
 
 @dataclass
@@ -113,12 +113,11 @@ class TrainLog:
             raise ConfigError(f"{path}: unexpected log header {header!r}")
         for lineno, line in enumerate(lines, 2):
             try:
-                e, tp, vp, w, n, m = line.strip().split(",")
-                row = LogRow(int(e), float(tp), float(vp), float(w),
-                             float(n), float(m))
-            except ValueError:
-                raise ConfigError(f"{path} line {lineno}: expected six "
-                                  f"numbers, got {line.strip()!r}") from None
+                epoch, *rest = line.strip().split(",")
+                row = LogRow(int(epoch), *map(float, rest))
+            except (TypeError, ValueError):  # wrong field count, or not a number
+                raise ConfigError(f"{path} line {lineno}: expected numbers for "
+                                  f"{LOG_HEADER}, got {line.strip()!r}") from None
             log.rows.append(row)
         return log
 

@@ -12,6 +12,7 @@ from advlm.advsoft import AdvConfig, adv_nll_loss, advsoft_prob
 from advlm.autodiff import Tape, Tensor
 from advlm.analysis import (
     NN_BLOCK_ELEMS,
+    DiversityReport,
     _recognized_per_probe,
     check_energy_bound,
     context_probes,
@@ -441,6 +442,21 @@ class TestDiversityReport:
                              "sv_entropy", "recognized_words"}
         assert data["sv_entropy"] == pytest.approx(rep.sv_entropy)
         assert len(data["nn_distances"]) == 8
+
+    def test_json_text_pinned(self, tmp_path):
+        # report.json is DiversityReport's fields in declared order: pin the text
+        rep = DiversityReport(np.array([0.5, 1.25]), np.array([1.0, 0.1]), 0.325,
+                              [{"word_id": 1, "probe_source": "random",
+                                "epsilon": 0.0625, "nn_distance": 1.25}])
+        path = tmp_path / "report.json"
+        rep.save(str(path))
+        assert path.read_text(encoding="utf-8") == (
+            '{\n "nn_distances": [\n  0.5,\n  1.25\n ],\n'
+            ' "singular_values_normalized": [\n  1.0,\n  0.1\n ],\n'
+            ' "sv_entropy": 0.325,\n'
+            ' "recognized_words": [\n  {\n   "word_id": 1,\n'
+            '   "probe_source": "random",\n   "epsilon": 0.0625,\n'
+            '   "nn_distance": 1.25\n  }\n ]\n}\n')
 
     def test_non_finite_rejected_before_distances(self, monkeypatch):
         # A NaN makes every row keep every candidate, so the distances would

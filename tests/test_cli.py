@@ -1,5 +1,6 @@
 """CLI surface: config parsing, artifacts, exit codes, output formats."""
 
+import csv
 import json
 import math
 import struct
@@ -14,7 +15,7 @@ import advlm.train
 from advlm import cli
 from advlm.cli import (TRAIN_SCHEMA, main, parse_config, resolve_seed,
                        serialize_config, split_tokens)
-from advlm.corpus import Vocab, batchify, read_tokens
+from advlm.corpus import Vocab, batchify, build_vocab, read_tokens
 from advlm.errors import ConfigError, NumericError
 from advlm.model import (LMConfig, init_params, load_checkpoint, save_checkpoint,
                          stream_contexts)
@@ -87,6 +88,11 @@ class TestConfigParsing:
         cfg = {"epochs": 2, "corpus": "a.txt"}
         lines = serialize_config(cfg).splitlines()
         assert lines == ["corpus = a.txt", "epochs = 2"]
+
+    @pytest.mark.parametrize("value", ["a#b.txt", "a\nb", "a\nepochs = 3", " a", "a "])
+    def test_value_that_does_not_read_back_rejected(self, value):
+        with pytest.raises(ConfigError, match="^corpus = "):
+            serialize_config({"corpus": value, "epochs": 2})
 
     def test_every_key_has_default_and_round_trips(self):
         defaults = {k: opt.default for k, opt in TRAIN_SCHEMA.items()}
@@ -416,6 +422,17 @@ class TestTrainCommand:
         assert "error:" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_config_that_does_not_read_back_exits_2(self, tmp_path, capsys):
+        # config.txt would hold "corpus = .../a#b.txt", read back as ".../a"
+        corpus = tmp_path / "a#b.txt"
+        make_corpus(corpus, num_lines=20)
+        out = tmp_path / "o"
+        argv = ["train", "--corpus", str(corpus), "--out", str(out), "--epochs", "1"]
+        assert main(argv + TRAIN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert "error: corpus = " in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_adv_spec(self, tmp_path):
         corpus = tmp_path / "c.txt"
         make_corpus(corpus, num_lines=10)
@@ -639,6 +656,27 @@ class TestAnalyzeCommand:
         word, dist = lines[1].split(",")
         assert word == "0"
         np.testing.assert_allclose(float(dist), np.sqrt(2.0), atol=1e-9)
+        capsys.readouterr()
+
+    def test_nn_distances_csv_reads_back(self, tmp_path, capsys):
+        # a token holding , or " is one quoted field, and "the" stays apart from the
+        words = [",", '"the"', "the", "a,b", "x"]
+        rng = np.random.default_rng(0)
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("".join(" ".join(rng.choice(words, 6)) + "\n" for _ in range(20)),
+                          encoding="utf-8")
+        vocab = build_vocab(read_tokens(str(corpus)))
+        save_checkpoint(init_params(LMConfig(len(vocab), 4), 0), str(tmp_path / "model.bin"))
+        vocab.save(str(tmp_path / "vocab.tsv"))
+        out = tmp_path / "a"
+        rc = main(["analyze", "--checkpoint", str(tmp_path / "model.bin"), "--corpus",
+                   str(corpus), "--out", str(out), "--num-random", "10",
+                   "--batch-size", "2", "--bptt-len", "4"])
+        assert rc == 0
+        with open(out / "nn_distances.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 2 for row in rows)
+        assert [row[0] for row in rows] == ["word"] + vocab.id_to_token
         capsys.readouterr()
 
     def test_report_validates_against_schema(self, trained_run, tmp_path,

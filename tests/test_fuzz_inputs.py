@@ -10,6 +10,7 @@ from advlm.corpus import EOS, UNK, Vocab
 from advlm.errors import ConfigError, CorpusError
 from advlm.train import LOG_HEADER, TrainLog
 
+STRING_KEYS = [key for key, opt in TRAIN_SCHEMA.items() if opt.parse is str]
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -81,3 +82,14 @@ def test_log_file_loads_or_raises_config_error(tmp_path, blob):
     except ConfigError:
         return
     assert all(len(row.as_csv().split(",")) == 6 for row in log.rows)
+
+
+@FUZZ
+@given(st.dictionaries(st.sampled_from(STRING_KEYS),
+                       st.text(st.characters() | st.sampled_from("#= \t\n\r\x1c\u2028"))))
+def test_serialized_string_values_read_back_or_raise_config_error(cfg):
+    try:
+        text = cli.serialize_config(cfg)
+    except ConfigError:
+        return
+    assert parse_config(text) == cfg

@@ -1,5 +1,6 @@
 """LSTM language model tests: gate oracle, tying, BPTT window boundaries, checkpoints."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -314,6 +315,26 @@ class TestCheckpoint:
         for (na, ta), (nb, tb) in zip(params.named_tensors(), loaded.named_tensors()):
             assert na == nb
             np.testing.assert_array_equal(ta.values, tb.values)
+
+    def test_header_and_names_pinned(self, tmp_path):
+        # the header comes from LMConfig's fields and the names from
+        # _expected_shapes: pin both as literals
+        cfg = LMConfig(vocab_size=9, embed_dim=4, hidden_dim=6, num_layers=2,
+                       init_range=0.07)
+        params = init_params(cfg, 21)
+        p = tmp_path / "model.bin"
+        save_checkpoint(params, str(p))
+        assert p.read_bytes()[:48] == (b"ADVLM001" + struct.pack("<4q", 9, 4, 6, 2)
+                                       + struct.pack("<d", 0.07))
+        assert [(name, t.shape) for name, t in params.named_tensors()] == [
+            ("embedding", (9, 4)),
+            ("layer0.w_x", (4, 24)), ("layer0.w_h", (6, 24)), ("layer0.bias", (24,)),
+            ("layer1.w_x", (6, 16)), ("layer1.w_h", (4, 16)), ("layer1.bias", (16,))]
+
+    def test_save_into_missing_directory_rejected(self, tmp_path):
+        params = init_params(LMConfig(vocab_size=5, embed_dim=3), 1)
+        with pytest.raises(CheckpointError, match="cannot write checkpoint"):
+            save_checkpoint(params, str(tmp_path / "absent" / "model.bin"))
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"

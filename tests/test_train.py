@@ -18,6 +18,7 @@ from advlm.errors import ConfigError, NumericError
 from advlm.model import LMConfig, init_params
 from advlm.train import (
     LOG_HEADER,
+    LogRow,
     TrainConfig,
     TrainLog,
     evaluate,
@@ -429,6 +430,19 @@ class TestTrainLog:
         flags = [math.isnan(r.valid_ppl) for r in log.rows]
         # epochs 0 and 3 evaluated on schedule, 4 because it is last
         assert flags == [False, True, True, False, False]
+
+    def test_format_pinned(self):
+        # the columns and their formats come from LogRow's fields: pin the text
+        assert LOG_HEADER == "epoch,train_ppl,valid_ppl,wall_s,noise_std,mean_eps"
+        assert LogRow(3, 12.5, math.nan, 0.25, 0.1, 1 / 3).as_csv() == \
+            "3,12.5,nan,0.25,0.1,0.333333333"
+
+    def test_wrong_field_count_names_the_columns(self, tmp_path):
+        for k, row in enumerate(["0,1.5,2.5", "0,1.5,2.5,0.1,0.0,0.1,7"]):
+            p = tmp_path / f"bad{k}.csv"
+            p.write_text(LOG_HEADER + "\n" + row + "\n", encoding="utf-8")
+            with pytest.raises(ConfigError, match=f"line 2: expected numbers for {LOG_HEADER}"):
+                TrainLog.load(str(p))
 
     def test_header_mismatch_rejected(self, tmp_path):
         bad = ["epoch,stuff\n",
