@@ -166,9 +166,14 @@ def lstm_layer(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor,
     stay exactly all-zero. Returns (hs, h_last, c_last): hs [(L*B) x H] is
     recorded on inputs (x, w_x, w_h, bias), which gradients reach by
     backprop through time; h_last and c_last are plain arrays, because a
-    window is the unit of truncated BPTT. Only the backward pass reads every
-    step's gates and tanh(c), so with no tape open the op keeps one step of
-    them, in a B-row slot each step overwrites.
+    window is the unit of truncated BPTT.
+
+    Each pass holds one [(L*B) x 4H] array. The forward forms every step's
+    gates in place over its rows of the input projection, which is all the
+    gate history backward needs. Only backward reads every step's tanh(c),
+    so with no tape open one B-row slot takes each step's. The backward
+    forms the gates' slopes in the array that becomes d loss / d pre, and
+    each step multiplies its rows by its d loss / d gates in place.
     """
     xv, wh = x.values, w_h.values
     B, H = h0.shape
@@ -183,27 +188,26 @@ def lstm_layer(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor,
     n = xv.shape[0]
     # sigmoid(z) = 0.5 + 0.5*tanh(z/2), so one tanh covers all four gates:
     # the sigmoid gates' columns are halved on the way in and out, g's are
-    # not. Halving pre and w_h up front is exact.
+    # not. Halving the input projection and w_h up front is exact.
     half = np.full(4 * H, 0.5)
     half[2 * H:3 * H] = 1.0
     lift = 1.0 - half
-    pre = xv @ w_x.values
-    pre += bias.values
-    pre[:, H:2 * H] += 1.0
-    pre *= half
+    acts = xv @ w_x.values  # each step's rows become its gates in place
+    acts += bias.values
+    acts[:, H:2 * H] += 1.0
+    acts *= half
     wh_half = wh * half
-    keep = _active is not None  # every step's gates, for _back
-    acts = np.empty((n if keep else B, 4 * H))
-    tcs = np.empty((n if keep else B, H))  # tanh of each kept step's c
+    keep = _active is not None  # every step's tanh(c), for _back
+    tcs = np.empty((n if keep else B, H))
     hs = np.empty((n + B, H))  # h0, then every step's h
     cs = np.empty((n + B, H))  # c0, then every step's c
     hs[:B], cs[:B] = h0, c0
+    rec = np.empty((B, 4 * H))  # each step's recurrent term
     for lo in range(0, n, B):
         now, nxt = slice(lo, lo + B), slice(lo + B, lo + 2 * B)
-        slot = now if keep else slice(0, B)
-        a, tc = acts[slot], tcs[slot]
-        np.matmul(hs[now], wh_half, out=a)
-        a += pre[now]
+        a, tc = acts[now], tcs[now if keep else slice(0, B)]
+        np.matmul(hs[now], wh_half, out=rec)
+        a += rec
         np.tanh(a, out=a)
         a *= half
         a += lift
@@ -213,27 +217,33 @@ def lstm_layer(x: Tensor, w_x: Tensor, w_h: Tensor, bias: Tensor,
         np.multiply(a[:, 3 * H:], tc, out=hs[nxt])
 
     def _back(g):
-        # d act / d pre: s(1-s) for the sigmoid gates, 1-g^2 for g
-        slope = acts * (1.0 - acts)
-        gg = acts[:, 2 * H:3 * H]
-        slope[:, 2 * H:3 * H] = 1.0 - gg * gg
-        dh_dc = acts[:, 3 * H:] * (1.0 - tcs * tcs)  # d h_t / d c_t
-        dpre = np.empty((n, 4 * H))
+        # dpre starts as d gates / d pre: s(1-s) for the sigmoid gates,
+        # 1-g^2 for g
+        dpre = 1.0 - acts
+        dpre *= acts
+        slope_g = dpre[:, 2 * H:3 * H]
+        np.multiply(acts[:, 2 * H:3 * H], acts[:, 2 * H:3 * H], out=slope_g)
+        np.subtract(1.0, slope_g, out=slope_g)
+        dh_dc = tcs * tcs  # d h_t / d c_t = o (1 - tanh(c)^2)
+        np.subtract(1.0, dh_dc, out=dh_dc)
+        dh_dc *= acts[:, 3 * H:]
         dh = np.zeros((B, H))
         dc = np.zeros((B, H))
+        e = np.empty((B, 4 * H))  # each step's d loss / d gates
         wh_t = wh.T
         for lo in range(n - B, -1, -B):
             now = slice(lo, lo + B)
             a, d = acts[now], dpre[now]
             dh += g[now]
             dc += dh * dh_dc[now]
-            np.multiply(dc, a[:, 2 * H:3 * H], out=d[:, :H])
-            np.multiply(dc, cs[now], out=d[:, H:2 * H])
-            np.multiply(dc, a[:, :H], out=d[:, 2 * H:3 * H])
-            np.multiply(dh, tcs[now], out=d[:, 3 * H:])
-            d *= slope[now]
+            np.multiply(dc, a[:, 2 * H:3 * H], out=e[:, :H])
+            np.multiply(dc, cs[now], out=e[:, H:2 * H])
+            np.multiply(dc, a[:, :H], out=e[:, 2 * H:3 * H])
+            np.multiply(dh, tcs[now], out=e[:, 3 * H:])
+            d *= e
             dh = d @ wh_t
             dc *= a[:, H:2 * H]
+        del dh_dc  # its n x H go before the gradient GEMMs allocate theirs
         return (dpre @ w_x.values.T, xv.T @ dpre, hs[:n].T @ dpre,
                 dpre.sum(axis=0))
 

@@ -211,7 +211,10 @@ def _eval_stream(args, vocab: Vocab) -> BatchStream:
     if args.split != "full":
         head, tail = split_tokens(tokens)
         tokens = head if args.split == "train" else tail
-    return batchify(vocab.encode(tokens), args.batch_size, args.bptt_len)
+    try:
+        return batchify(vocab.encode(tokens), args.batch_size, args.bptt_len)
+    except ConfigError as exc:
+        raise ConfigError(f"--split {args.split} of {args.corpus}: {exc}") from exc
 
 
 def cmd_eval(args) -> int:

@@ -12,7 +12,7 @@ import advlm.autodiff as ad
 from advlm.errors import ShapeError
 
 from gradcheck import numerical_grad, rel_error
-from reference import hand_lstm_step, logsumexp_rows
+from reference import hand_lstm_step, logsumexp_rows, lstm_window_ops
 
 OP_TOL = 1e-4
 
@@ -360,7 +360,7 @@ class TestLstmLayer:
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_untaped_pass_equals_taped(self, layers):
-        # without a tape each step's gates go to one scratch slot; the
+        # without a tape each step's tanh(c) goes to one scratch slot; the
         # values computed are the taped pass's, bit for bit
         rng = np.random.default_rng(10)
         L, B, H = 5, 3, 4
@@ -379,20 +379,68 @@ class TestLstmLayer:
         for got, want in zip(run(), taped, strict=True):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_bitwise_equal_to_separate_pre_activations(self, taped):
+        # the op forms the gates over the input projection and dpre over the
+        # slopes; the reference keeps them apart and multiplies product by
+        # slope, and IEEE addition and multiplication commute exactly
+        rng = np.random.default_rng(12)
+        L, B, I, H = 3, 2, 3, 5
+        args = _lstm_args(rng, L, B, I, H, r=1.0)
+        g = rng.uniform(-1, 1, (L * B, H))
+        hs_ref, h_ref, c_ref, back_ref = lstm_window_ops(
+            *(t.values for t in args[:4]), *args[4:])
+        if taped:
+            with ad.Tape() as tape:
+                hs, h_last, c_last = ad.lstm_layer(*args)
+            [(_, _, backward_fn)] = tape.records
+            for got, want in zip(backward_fn(g), back_ref(g), strict=True):
+                assert np.array_equal(got, want)
+        else:
+            hs, h_last, c_last = ad.lstm_layer(*args)
+        for got, want in [(hs.values, hs_ref), (h_last, h_ref), (c_last, c_ref)]:
+            assert np.array_equal(got, want)
+
+    @staticmethod
+    def _peak_bytes(fn):
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_untaped_peak_memory_keeps_no_gate_history(self):
-        # n x 4H pre-activations, plus the h and c histories the op returns
-        # from; no n x 4H gate history and no second pre-activation array
+        # the n x 4H input projection, which the gates overwrite step by
+        # step, plus the h and c histories the op returns from; no tanh(c)
+        # history
         L, B, H = 32, 32, 200
         n = L * B
         args = _lstm_args(np.random.default_rng(11), L, B, H, H)
-        tracemalloc.start()  # numpy reports its buffers to tracemalloc
-        try:
-            hs, _, _ = ad.lstm_layer(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (hs, _, _), peak = self._peak_bytes(lambda: ad.lstm_layer(*args))
         assert hs.shape == (n, H)
         assert peak < 2 * n * 4 * H * 8
+
+    def test_taped_peak_memory_holds_one_gate_array(self):
+        # forward: the gates form over the input projection, so one n x 4H
+        # array and the n x H histories; backward: dpre forms over the
+        # slopes, so one n x 4H array and the four gradients
+        L, B, H = 32, 32, 200
+        n = L * B
+        args = _lstm_args(np.random.default_rng(13), L, B, H, H)
+
+        def forward():
+            with ad.Tape() as tape:
+                ad.lstm_layer(*args)
+            return tape
+
+        tape, peak_forward = self._peak_bytes(forward)
+        [(out, _, backward_fn)] = tape.records
+        g = np.ones(out.shape)
+        grads, peak_backward = self._peak_bytes(lambda: backward_fn(g))
+        assert [gr.shape for gr in grads] == [t.shape for t in args[:4]]
+        assert peak_forward < 2.5 * n * 4 * H * 8
+        assert peak_backward < 2 * n * 4 * H * 8
 
     def test_shape_mismatch(self):
         x, w_x, w_h, bias, h0, c0 = _lstm_args(np.random.default_rng(9), 2, 2, 3, 4)

@@ -298,7 +298,8 @@ class TestTrainCommand:
         cases = [(["train", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
                    "--batch-size", str(2 ** 63)], "training side: stream shorter"),
                  (["eval", *checkpoint, "--corpus", str(corpus),
-                   "--batch-size", str(2 ** 63)], "stream shorter than one window"),
+                   "--batch-size", str(2 ** 63)],
+                  f"--split full of {corpus}: stream shorter than one window"),
                  (analyze, "num_random"),
                  (analyze + ["--corpus", str(corpus), "--batch-size", "2",
                              "--bptt-len", "4"], "num_random")]
@@ -307,6 +308,22 @@ class TestTrainCommand:
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err, argv
         assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "a").exists()
+
+    def test_short_eval_stream_names_split_and_corpus(self, trained_run, tmp_path,
+                                                      capsys):
+        # at the default sizes a 10-line corpus holds no window on either side
+        corpus = tmp_path / "c.txt"
+        make_corpus(corpus, num_lines=10)
+        given = ["--checkpoint", str(trained_run["out"] / "model.bin"),
+                 "--corpus", str(corpus), "--split", "valid"]
+        for argv in (["eval", *given],
+                     ["analyze", *given, "--out", str(tmp_path / "a")]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --split valid of {corpus}: stream shorter "
+                                  "than one window"), err
+            assert "Traceback" not in err
         assert not (tmp_path / "a").exists()
 
     def test_non_finite_perplexity_exits_3(self, trained_run, tmp_path, capsys):

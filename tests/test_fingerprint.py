@@ -20,7 +20,10 @@ def test_desk_entry_repeats_at_one_revision(tmp_path):
     a, b = (fingerprint.fingerprint(str(_ROOT), names, inputs, str(tmp_path / side))
             for side in "ab")
     assert a["entries"] == b["entries"]
-    assert set(a["entries"]["desk"]) == {"digest", "model_bin_sha256"}
+    desk = a["entries"]["desk"]
+    assert set(desk) == {"digest", "model_bin_sha256", "records_per_backward",
+                         "leaf_ratios"}
+    assert len(desk["records_per_backward"]) == len(desk["leaf_ratios"]) > 0
     assert set(a["entries"]["cli_train"]) == {"model.bin", "vocab.tsv", "config.txt",
                                               "log.csv without wall_s"}
     assert set(a["entries"]["cli_eval"]) == {"eval", "report.json", "nn_distances.csv"}

@@ -5,7 +5,9 @@
 
 The entries, all on the perfbench inputs of seed 4242:
 
-- desk, wide_vocab: the trained parameters' digest and model.bin's sha256;
+- desk, wide_vocab: the trained parameters' digest and model.bin's sha256,
+  and each window's tape counts (``records_per_backward``, ``leaf_ratios``)
+  from the run's ``--trace`` dump; tracing leaves the parameters' bits alone;
 - analyze_wide: the sha256 of report.json and nn_distances.csv;
 - ab_grid: the nine (alpha, seed) results of the A/B experiment;
 - verify: the gradients line of ``advlm verify --seed 0``;
@@ -156,14 +158,20 @@ def run_entry(root: str, name: str, inputs: dict, work: str):
         fields.update({f: sha256(os.path.join(out, f))
                        for f in ("report.json", "nn_distances.csv")})
         return fields, None
+    trace = os.path.join(out, "trace.json")
     subprocess.run([sys.executable, os.path.join(root, "perfbench", "program.py"),
                     "--workload", name, "--inputs", inputs[name], "--seed", str(SEED),
-                    "--out", out], check=True, stdout=subprocess.DEVNULL)
+                    "--out", out, *(("--trace", trace) if name in LM_ENTRIES else ())],
+                   check=True, stdout=subprocess.DEVNULL)
     with open(os.path.join(out, "result.json"), encoding="utf-8") as fh:
         result = json.load(fh)
     if name in LM_ENTRIES:
+        with open(trace, encoding="utf-8") as fh:
+            counts = json.load(fh)
         return {"digest": result["digest"],
-                "model_bin_sha256": sha256(result["checkpoint"])}, result
+                "model_bin_sha256": sha256(result["checkpoint"]),
+                "records_per_backward": counts["records_per_backward"],
+                "leaf_ratios": counts["leaf_ratios"]}, result
     if name == "analyze_wide":
         return {f: sha256(os.path.join(out, f))
                 for f in ("report.json", "nn_distances.csv")}, result
