@@ -18,56 +18,96 @@ from .errors import ConfigError, NumericError, ShapeError, overflow_guard
 from .model import stream_contexts
 
 BOUND_SLACK = 1e-12
-# Elements in one row block x V temporary: nearest_neighbor_distances holds
-# 9 bytes per element (float64 Gram rows, bool mask), _recognized_per_probe 8
-# (float64 probe logits).
+# Elements in one float64 temporary: nearest_neighbor_distances works in
+# square Gram tiles of isqrt(NN_BLOCK_ELEMS) = 512 on a side, and
+# _recognized_per_probe in row blocks of NN_BLOCK_ELEMS // V probe logits.
 NN_BLOCK_ELEMS = 2 ** 18
 
 
 def nearest_neighbor_distances(W: np.ndarray) -> np.ndarray:
     """out[i] = min over j != i of ||w_i - w_j||.
 
-    Each block of rows picks candidates from the Gram form (one BLAS product)
-    and rechecks them as ((W[j] - W[i])**2).sum(), so the result is the row
-    scan's bit for bit. With sq = ||w||^2, j is a candidate unless
-    sq_i + sq_j - 2 w_i.w_j - m_ij > min_k (sq_i + sq_k - 2 w_i.w_k + m_ik) for
-    a rounding margin m_ij = c_i + c_j split into a row and a column share,
-    c = tol*(sq + tiny). sq_i cancels: with u_ij = sq_j + c_j - 2 w_i.w_j (inf
-    at j = i), j is dropped when u_ij - 2 c_j > min_k u_ik + 2 c_i. The row
-    minimum is never dropped, so a row's sole candidate is its nearest one."""
+    The Gram form only picks candidates; each is rechecked as
+    ((W[j] - W[i])**2).sum(), so the result is the row scan's bit for bit.
+    With sq = ||w||^2, c = tol*(sq + tiny) and col = sq + c, one BLAS product
+    per tile gives E_ij = col_i + col_j - 2 w_i.w_j as the d+2 terms of
+    [-2w_i, col_i, 1].[w_j, 1, col_j] (scaling by -2 is exact). Row i keeps
+    j unless E_ij - 2c_j > min_k E_ik + 2c_i (k != i).
+
+    Why the nearest j is kept, to first order in u = eps/2, with S = sq_i +
+    sq_j and D_ij the exact squared distance (so D_ij <= 2S): E_ij is within
+    (3d+5)u*S of D_ij + c_i + c_j (the product errs by at most (d+2)u times
+    its absolute terms, <= 2S, and col by (d+1)u*sq), and each threshold
+    operation adds u*2S. The recheck errs by at most (d+2)u*D_ij <=
+    (2d+4)u*S. So when row i drops j against some k, D_ij - D_ik exceeds
+    2c_i + c_j + c_k minus (3d+7)u*(S_ij + S_ik), which with tol = 4(d+2)eps
+    = (8d+16)u leaves (5d+9)u*(S_ij + S_ik): more than the rechecks'
+    (2d+4)u*(S_ij + S_ik), so j's recheck is above k's. tiny covers
+    roundings among subnormals (u*tiny each).
+
+    Phase 1 walks the upper triangle in square tiles, so each product is
+    formed once: a tile's row minima go to its rows, its column minima to
+    its columns, one entry per (column tile, row). Phase 2 rescans a (row,
+    column tile) pair only when that tile's minimum, less the tile's largest
+    2c_j, is not above the row's threshold (rounding is monotone), in chunks
+    of at most one tile of rows, and rechecks the survivors. Every drop test
+    is "x > thr", so a NaN keeps its candidate; np.min carries a NaN of row
+    i's E into its threshold, and an inf square makes c inf, so such a row
+    keeps every j and rechecks to the row scan's NaN or inf. Self-pairs are
+    dropped by index, never by a comparison."""
     W = np.ascontiguousarray(W, dtype=np.float64)
     V, d = W.shape
     if V < 2:
         raise ShapeError(f"need at least 2 rows, got {V}")
     sq = (W * W).sum(axis=1)
     fp = np.finfo(np.float64)
-    # tol = 4(d+2)eps bounds both forms' rounding with room to spare; tiny
-    # covers squares that underflow to subnormals.
     c = 4.0 * (d + 2) * fp.eps * (sq + fp.tiny)
     col, c2 = sq + c, 2.0 * c
-    out = np.empty(V)
-    block = max(1, NN_BLOCK_ELEMS // V)
-    for lo in range(0, V, block):
-        hi = min(lo + block, V)
-        rows = np.arange(hi - lo)
-        u = W[lo:hi] @ W.T
-        u *= -2.0
-        u += col
-        u[rows, rows + lo] = np.inf
-        thr = u.min(axis=1) + c2[lo:hi]
-        u -= c2
-        # NaN compares False: a NaN row keeps every j and rechecks to NaN.
-        far = u > thr[:, None]
-        far[rows, rows + lo] = True
-        single = far.sum(axis=1) == V - 1
-        nearest = (~far[single]).argmax(axis=1)
-        diff = W[nearest] - W[lo:hi][single]
-        out[lo:hi][single] = np.sqrt((diff ** 2).sum(axis=1))
-        for r in np.flatnonzero(~single):
-            cand = np.flatnonzero(~far[r])
-            out[lo + r] = math.sqrt(((W[cand] - W[lo + r]) ** 2).sum(axis=1).min())
-        del u, far  # before the next block's product is allocated
-    return out
+    side = math.isqrt(NN_BLOCK_ELEMS)
+    starts = np.arange(0, V, side)
+
+    def factor(rows, left: bool) -> np.ndarray:
+        # factor(I, True) @ factor(J, False).T is the E tile of rows I, J
+        f = np.empty((col[rows].size, d + 2))
+        np.multiply(W[rows], -2.0 if left else 1.0, out=f[:, :d])
+        f[:, d:] = 1.0
+        f[:, d if left else d + 1] = col[rows]
+        return f
+
+    tile_min = np.empty((starts.size, V))  # [J, i]: min over j in tile J of E_ij
+    for I, lo in enumerate(starts):
+        rows = slice(lo, lo + side)
+        a = factor(rows, True)
+        for J, jlo in enumerate(starts[I:], I):
+            cols = slice(jlo, jlo + side)
+            E = a @ factor(cols, False).T
+            if J == I:
+                np.fill_diagonal(E, np.inf)
+            tile_min[J, rows] = E.min(axis=1)
+            if J > I:
+                tile_min[I, cols] = E.min(axis=0)
+            del E  # before the next tile's product is allocated
+    thr = tile_min.min(axis=0) + c2
+    c2_max = np.maximum.reduceat(c2, starts)
+    best = np.full(V, np.inf)
+    pairs = max(1, NN_BLOCK_ELEMS // d)  # rechecks per piece: one tile of diffs
+    for J, jlo in enumerate(starts):
+        cols = slice(jlo, jlo + side)
+        b = factor(cols, False)
+        rescan = np.flatnonzero(~(tile_min[J] - c2_max[J] > thr))
+        for lo in range(0, rescan.size, side):
+            rows = rescan[lo:lo + side]
+            E = factor(rows, True) @ b.T
+            E -= c2[cols]
+            keep = ~(E > thr[rows, None])
+            del E
+            own = (rows >= jlo) & (rows < jlo + side)
+            keep[own, rows[own] - jlo] = False  # self-pairs
+            i, j = np.divmod(np.flatnonzero(keep), keep.shape[1])  # 2-d nonzero is slower
+            for p in range(0, i.size, pairs):
+                ip, jp = rows[i[p:p + pairs]], j[p:p + pairs] + jlo
+                np.minimum.at(best, ip, ((W[jp] - W[ip]) ** 2).sum(axis=1))
+    return np.sqrt(best)
 
 
 def singular_values(W: np.ndarray) -> np.ndarray:

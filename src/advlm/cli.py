@@ -3,7 +3,7 @@
 Config files are flat `key = value` text with `#` comments; flags override
 file values. Every run is deterministic given (seed, config, inputs), and
 all output files are written atomically. Exit codes: 0 ok, 2 config error,
-3 numeric failure, 4 I/O or format error.
+3 numeric failure, 4 I/O or format error, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -183,13 +183,21 @@ def cmd_train(args) -> int:
     print(f"vocab_size={len(vocab)}")
     print(LOG_HEADER)
 
+    saved = 0
+
     def epoch_done(log):
+        nonlocal saved
         # both writers are atomic: an interrupted run keeps its last epoch
         print(log.rows[-1].as_csv(), flush=True)
         save_checkpoint(params, os.path.join(cfg["out"], "model.bin"))
         log.save(os.path.join(cfg["out"], "log.csv"))
+        saved = len(log.rows)
 
-    train(params, train_stream, valid_stream, tr_cfg, progress=epoch_done)
+    try:
+        train(params, train_stream, valid_stream, tr_cfg, progress=epoch_done)
+    except KeyboardInterrupt:
+        raise KeyboardInterrupt(f"{saved} of {cfg['epochs']} epochs saved in "
+                                f"{cfg['out']}") from None
     return 0
 
 
@@ -339,6 +347,10 @@ def main(argv=None) -> int:
     except (CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt as exc:
+        print("error: interrupted" + (f"; {exc}" if exc.args else ""),
+              file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

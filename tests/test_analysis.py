@@ -120,18 +120,47 @@ class TestNearestNeighbor:
                 np.testing.assert_array_equal(nearest_neighbor_distances(W),
                                               _row_scan(W))
 
+    def test_tiles_match_row_scan(self):
+        # Tiles are 512 rows on a side: exactly one tile, one row past it, and
+        # three tiles with a ragged last one.
+        side = math.isqrt(NN_BLOCK_ELEMS)
+        rng = np.random.default_rng(21)
+        for V in (side, side + 1, 2 * side + 276):
+            for gap in (0.0, 1e-9):
+                W = rng.normal(size=(V, 12))
+                # exact or near duplicates across each tile boundary
+                for lo in range(side, V, side):
+                    W[lo] = W[lo - 1] + gap * rng.normal(size=12)
+                # the last row's only close partner sits in the first tile,
+                # so its minimum comes from a tile's column minima
+                W[V - 1] = W[5] + 1e-3 * rng.normal(size=12)
+                scale = np.exp(rng.normal(scale=5.0, size=(V, 1)))
+                for M in (W, W * scale, W + 1e3, W * 1e-157):
+                    np.testing.assert_array_equal(nearest_neighbor_distances(M),
+                                                  _row_scan(M))
+        # A NaN row in the middle tile reaches every row's threshold; an inf
+        # entry in the last tile makes its row's distance inf.
+        nan_row, inf_entry = W.copy(), W.copy()
+        nan_row[700] = np.nan
+        inf_entry[1200, 3] = np.inf
+        with np.errstate(invalid="ignore"):
+            for M in (nan_row, inf_entry):
+                np.testing.assert_array_equal(nearest_neighbor_distances(M),
+                                              _row_scan(M))
+
     def test_holds_one_block(self):
-        V = 3000
-        W = np.random.default_rng(12).normal(size=(V, 8))
-        block_elems = (NN_BLOCK_ELEMS // V) * V
-        tracemalloc.start()  # numpy reports its buffers to tracemalloc
-        try:
-            got = nearest_neighbor_distances(W)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 14 * block_elems
-        np.testing.assert_array_equal(got, _row_scan(W))
+        # 3000 rows span six tiles, 1300 three with a ragged last one
+        for V in (3000, 1300):
+            W = np.random.default_rng(12).normal(size=(V, 8))
+            block_elems = (NN_BLOCK_ELEMS // V) * V
+            tracemalloc.start()  # numpy reports its buffers to tracemalloc
+            try:
+                got = nearest_neighbor_distances(W)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 14 * block_elems
+            np.testing.assert_array_equal(got, _row_scan(W))
 
     def test_single_row_rejected(self):
         with pytest.raises(ShapeError):

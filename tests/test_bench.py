@@ -83,3 +83,26 @@ def test_bench_paths_number_after_the_latest(tmp_path):
         (tmp_path / name).write_text("{}")
     assert bench.bench_paths(str(tmp_path)) == (str(tmp_path / "BENCH_4.json"),
                                                 str(tmp_path / "BENCH_3.json"))
+
+
+# /proc/stat's first line: user nice system idle iowait irq softirq steal
+# guest guest_nice, in ticks.
+STAT_BEFORE = "cpu  1000 50 300 9000 20 5 5 0 0 0\ncpu0 500 25 150 4500 10 2 2 0 0 0\n"
+STAT_AFTER = "cpu  1400 50 420 9100 30 7 8 0 400 0\ncpu0 700 25 210 4550 15 3 4 0 200 0\n"
+
+
+def test_busy_cpu_s_counts_busy_ticks_but_not_guest_twice():
+    assert bench.busy_cpu_s(STAT_BEFORE, 100) == pytest.approx(13.6)
+    # +400 user, +120 system, +2 irq, +3 softirq; the +400 guest is in user
+    assert bench.busy_cpu_s(STAT_AFTER, 100) - bench.busy_cpu_s(STAT_BEFORE, 100) \
+        == pytest.approx(5.25)
+    with pytest.raises(ValueError):
+        bench.busy_cpu_s("intr 1 2 3\n", 100)
+
+
+def test_host_load_flags_other_work_above_a_tenth_of_a_core():
+    busy = bench.host_load(STAT_BEFORE, STAT_AFTER, 4.0, 10.0, 100)
+    assert busy == {"wall_s": 10.0, "other_cpu_s": pytest.approx(1.25),
+                    "other_cores": pytest.approx(0.125), "busy": True}
+    quiet = bench.host_load(STAT_BEFORE, STAT_AFTER, 4.5, 10.0, 100)
+    assert quiet["other_cores"] == pytest.approx(0.075) and not quiet["busy"]

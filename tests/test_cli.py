@@ -386,6 +386,35 @@ class TestTrainCommand:
         assert params.config.embed_dim == 8
         assert [r.epoch for r in TrainLog.load(str(out / "log.csv")).rows] == [0, 1]
 
+    def test_ctrl_c_exits_130_naming_the_saved_epochs(self, tmp_path, monkeypatch,
+                                                      capsys):
+        corpus = tmp_path / "c.txt"
+        make_corpus(corpus, num_lines=20)
+        out = tmp_path / "o"
+        real_epoch = advlm.train.train_epoch
+
+        def interrupt_at_epoch_2(params, stream, config, epoch):
+            if epoch == 2:
+                raise KeyboardInterrupt
+            return real_epoch(params, stream, config, epoch)
+
+        monkeypatch.setattr(advlm.train, "train_epoch", interrupt_at_epoch_2)
+        rc = main(["train", "--corpus", str(corpus), "--out", str(out),
+                   "--epochs", "4"] + TRAIN_FLAGS)
+        assert rc == 130
+        assert (capsys.readouterr().err
+                == f"error: interrupted; 2 of 4 epochs saved in {out}\n")
+        assert [r.epoch for r in TrainLog.load(str(out / "log.csv")).rows] == [0, 1]
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("advlm.cli.evaluate", interrupt)
+        rc = main(["eval", "--checkpoint", str(out / "model.bin"), "--corpus",
+                   str(corpus), "--batch-size", "2", "--bptt-len", "4"])
+        assert rc == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+
     def test_per_epoch_writes_leave_the_final_files(self, tmp_path):
         # model.bin and log.csv are rewritten after every epoch; the last
         # write is the full run's, byte for byte apart from wall_s

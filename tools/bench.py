@@ -12,6 +12,13 @@ median, IQR and raw values of setup_s, op_s and peak_rss_mb, the medians of
 the printed figures (tokens/s, analyze_s, ab_wall_s) and of the per-layer
 metrics; the machine line and git revision; and the change of every median
 against BENCH_<n-1>.json when that file exists.
+
+Each run also records the host's load beside it: the busy CPU time
+/proc/stat counts over the run, less the CPU time of the bench's own
+children (RUSAGE_CHILDREN). A run during which other work took more than
+10% of one core is flagged as busy, per workload and in "busy_runs"; its
+numbers stand, but a comparison resting on it is suspect. Nothing here
+changes a machine setting.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import glob
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -35,6 +43,8 @@ FIGURES = ("train_tokens_per_s", "eval_tokens_per_s", "analyze_s", "ab_wall_s",
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 NOTE = ("wide_vocab (V=5000, d=200, B=32, L=32) stands in for the softmax-bound "
         "config of about V=10k; no V=10k workload exists.")
+# Other work on the host, in cores, above which a run is flagged as busy.
+BUSY_CORES = 0.10
 # An end-to-end figure line of perfbench/run.py: "  name  value  unit  better".
 FIGURE = re.compile(r"^  (\w+) +(\S+) +\S+ +(?:lower|higher)$")
 
@@ -121,11 +131,46 @@ def git(*args) -> str:
     return done.stdout.strip()
 
 
+def busy_cpu_s(stat_text: str, ticks_per_s: int) -> float:
+    """Busy CPU seconds of all cores so far, from /proc/stat text: the "cpu"
+    line's user, nice, system, irq, softirq and steal ticks. Guest ticks are
+    left out because user and nice already count them."""
+    fields = stat_text.splitlines()[0].split()
+    if fields[0] != "cpu":
+        raise ValueError(f"not a /proc/stat cpu line: {fields[0]!r}")
+    user, nice, system, _idle, _iowait, irq, softirq, steal = map(int, fields[1:9])
+    return (user + nice + system + irq + softirq + steal) / ticks_per_s
+
+
+def host_load(stat_before: str, stat_after: str, children_cpu_s: float,
+              wall_s: float, ticks_per_s: int) -> dict:
+    """CPU time the host spent outside the bench's children over one run, and
+    whether it exceeds BUSY_CORES of one core."""
+    other = (busy_cpu_s(stat_after, ticks_per_s) - busy_cpu_s(stat_before, ticks_per_s)
+             - children_cpu_s)
+    cores = other / wall_s
+    return {"wall_s": wall_s, "other_cpu_s": other, "other_cores": cores,
+            "busy": cores > BUSY_CORES}
+
+
+def _proc_stat() -> str:
+    with open("/proc/stat", encoding="ascii") as fh:
+        return fh.read()
+
+
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     print(" ".join(cmd[1:]), file=sys.stderr, flush=True)
+    stat, children, t0 = _proc_stat(), _children_cpu_s(), time.monotonic()
     done = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT)
+    host = host_load(stat, _proc_stat(), _children_cpu_s() - children,
+                     time.monotonic() - t0, os.sysconf("SC_CLK_TCK"))
     try:
         result = parse_output(done.stdout)
     except json.JSONDecodeError:
@@ -133,6 +178,7 @@ def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
     if done.returncode != 0 or not is_good(result):
         sys.stderr.write(done.stderr[-2000:])
         result["correct"] = False
+    result["host"] = {"seed": seed, "trace": trace, **host}
     return result
 
 
@@ -163,7 +209,7 @@ def main(argv=None) -> int:
     bench = {"revision": git("rev-parse", "HEAD"),
              "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
              "seeds": list(range(1, seeds + 1)),
-             "seconds": seconds, "note": NOTE, "workloads": {}}
+             "seconds": seconds, "note": NOTE, "workloads": {}, "busy_runs": []}
     for workload in (w["name"] for w in declared["workloads"]):
         runs = {t: [] for t in traces}
         for seed in bench["seeds"]:
@@ -173,9 +219,14 @@ def main(argv=None) -> int:
                     print(f"error: {workload} seed {seed} trace {t} was not correct; "
                           "nothing written", file=sys.stderr)
                     return 1
+                if r["host"]["busy"]:
+                    print(f"warning: {workload} seed {seed} trace {t}: other work took "
+                          f"{r['host']['other_cores']:.2f} cores", file=sys.stderr)
+                    bench["busy_runs"].append(f"{workload} seed {seed} trace {t}")
                 runs[t].append(r)
         bench.setdefault("machine", runs[0][0]["machine"])
         bench["workloads"][workload] = summarize(runs[0], runs.get(1, []))
+        bench["workloads"][workload]["host"] = [r["host"] for t in traces for r in runs[t]]
     if args.tier1:
         bench["tier1"] = time_tier1()
 
