@@ -2,7 +2,9 @@
 and the closed-form/oracle equivalences the loss construction rests on.
 
 Each suite returns a SuiteResult; the CLI prints one line per suite and the
-test suite asserts on them at full scale.
+test suite asserts on them at full scale. The gradient oracle here
+(numerical_grad, rel_error, fd_check and head_grads) is also the one the
+tests check gradients with.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .advsoft import (AdvConfig, adv_nll_loss, advsoft_prob, brute_force_advsoft,
-                      epsilons)
+from .advsoft import (AdvConfig, _prob_of_row, adv_nll_loss, advsoft_prob,
+                      brute_force_advsoft, epsilons)
 from .analysis import (
     BOUND_SLACK,
     _recognized_per_probe,
@@ -44,7 +46,9 @@ class SuiteResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-def _numerical_grad(f, x: np.ndarray) -> np.ndarray:
+def numerical_grad(f, x: np.ndarray) -> np.ndarray:
+    """Central differences of the scalar f() in each entry of x, which is
+    perturbed in place and restored; f must read x's current values."""
     out = np.zeros_like(x)
     flat_x = x.ravel()
     flat_g = out.ravel()
@@ -59,12 +63,13 @@ def _numerical_grad(f, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rel_error(a: np.ndarray, b: np.ndarray) -> float:
+def rel_error(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b|| relative to the reference b."""
     num = np.linalg.norm((a - b).ravel())
     return num / max(np.linalg.norm(b.ravel()), 1e-8)
 
 
-def _fd_check(build, tensors, rng) -> float:
+def fd_check(build, tensors, rng) -> float:
     """One taped backward vs central differences; returns the worst rel err.
 
     build() must construct the output from the tensors' current values so the
@@ -82,8 +87,8 @@ def _fd_check(build, tensors, rng) -> float:
 
     worst = 0.0
     for t in tensors:
-        num = _numerical_grad(value, t.values)
-        worst = max(worst, _rel_error(t.grad, num))
+        num = numerical_grad(value, t.values)
+        worst = max(worst, rel_error(t.grad, num))
     return worst
 
 
@@ -133,7 +138,7 @@ def verify_gradients(seed: int, instances: int) -> SuiteResult:
     checked = 0
     while checked < instances:  # whole rounds of every op case
         for name, build, tensors in _op_cases(rng):
-            err = _fd_check(build, tensors, rng)
+            err = fd_check(build, tensors, rng)
             worst_op = max(worst_op, err)
             checked += 1
             if err >= 1e-4:
@@ -156,7 +161,7 @@ def verify_gradients(seed: int, instances: int) -> SuiteResult:
             contexts, _ = forward(params, ids, zero_state(cfg, 2))
             return adv_nll_loss(params, contexts, targets, AdvConfig()).loss
 
-        worst_model = max(worst_model, _fd_check(model_loss, params.tensors(), rng))
+        worst_model = max(worst_model, fd_check(model_loss, params.tensors(), rng))
         checked += 1
         if worst_model >= 1e-3:
             return SuiteResult("gradients", False,
@@ -175,9 +180,8 @@ def verify_gradients(seed: int, instances: int) -> SuiteResult:
 
 
 def _adv_head_error(seed: int) -> float:
-    """Taped gradients of the adversarial window-mean loss vs the
-    closed-form softmax gradients, with the offsets held constant and the
-    sum over rows divided by their count, as the window mean divides it."""
+    """Taped gradients of the adversarial window-mean loss vs head_grads,
+    with the offsets eps*||h|| held constant."""
     rng = np.random.default_rng(seed + 999)
     worst = 0.0
     for mode in (AdvConfig("fixed", 0.7), AdvConfig("adaptive", 0.1)):
@@ -188,19 +192,26 @@ def _adv_head_error(seed: int) -> float:
         with Tape() as tape:
             batch = adv_nll_loss(params, H, targets, mode)
             tape.backward(batch.loss)
-        flat = targets.reshape(-1)
-        W = params.embedding.values
-        z = H.values @ W.T
-        n = np.arange(5)
-        z[n, flat] -= batch.epsilons * np.linalg.norm(H.values, axis=1)
-        m = z.max(axis=1, keepdims=True)
-        q = np.exp(z - m)
-        q /= q.sum(axis=1, keepdims=True)
-        q[n, flat] -= 1.0
-        q /= flat.size
-        worst = max(worst, _rel_error(H.grad, q @ W))
-        worst = max(worst, _rel_error(params.embedding.grad, q.T @ H.values))
+        dH, dW = head_grads(H.values, params.embedding.values, targets.reshape(-1),
+                            batch.epsilons * np.linalg.norm(H.values, axis=1))
+        worst = max(worst, rel_error(H.grad, dH), rel_error(params.embedding.grad, dW))
     return worst
+
+
+def head_grads(H: np.ndarray, W: np.ndarray, targets,
+               shift) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form gradients (dH, dW) of the window-mean NLL of the head
+    z = H @ W.T with each row's target logit lowered by shift, the shift held
+    constant: both are products with q = (softmax(z) - onehot) / N."""
+    rows = np.arange(len(targets))
+    z = H @ W.T
+    z[rows, targets] -= shift
+    m = z.max(axis=1, keepdims=True)
+    q = np.exp(z - m)
+    q /= q.sum(axis=1, keepdims=True)
+    q[rows, targets] -= 1.0
+    q /= len(targets)
+    return q @ W, q.T @ H
 
 
 def verify_closed_form(seed: int, instances: int, samples: int) -> SuiteResult:
@@ -233,10 +244,7 @@ def verify_reductions(seed: int, instances: int) -> SuiteResult:
         W = rng.normal(size=(V, d))
         h = rng.normal(size=d)
         i = int(rng.integers(V))
-        z = W @ h
-        m = z.max()
-        soft = float(np.exp(z[i] - m) / np.exp(z - m).sum())
-        gap = abs(advsoft_prob(i, W, h, 0.0) - soft)
+        gap = abs(advsoft_prob(i, W, h, 0.0) - _prob_of_row(W @ h, i))
         worst = max(worst, gap)
         if gap >= 1e-12:
             return SuiteResult("reductions", False,

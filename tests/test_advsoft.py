@@ -14,8 +14,7 @@ from advlm.advsoft import (
 from advlm.autodiff import Tape, Tensor
 from advlm.errors import ConfigError, ShapeError
 from advlm.model import LMConfig, init_params
-
-from gradcheck import numerical_grad, rel_error
+from advlm.verify import head_grads, numerical_grad, rel_error
 
 
 def _softmax(logits):
@@ -184,19 +183,6 @@ class TestBruteForce:
                                    np.random.default_rng(9)) == 1.0
 
 
-def _analytic_grads(W, H, flat, eps_vec):
-    """Gradients of the mean NLL treating the -eps*||h|| offsets as constants."""
-    N, V = H.shape[0], W.shape[0]
-    z = H @ W.T
-    z[np.arange(N), flat] -= eps_vec * np.linalg.norm(H, axis=1)
-    m = z.max(axis=1, keepdims=True)
-    q = np.exp(z - m)
-    q /= q.sum(axis=1, keepdims=True)
-    q[np.arange(N), flat] -= 1.0
-    q /= N
-    return q @ W, q.T @ H
-
-
 class TestAdvNllLoss:
     def _setup(self, seed=0, V=5, d=3, L=2, B=2):
         params = init_params(LMConfig(vocab_size=V, embed_dim=d, init_range=0.4), seed)
@@ -250,9 +236,8 @@ class TestAdvNllLoss:
         with Tape() as tape:
             batch = adv_nll_loss(params, H, targets, cfg)
             tape.backward(batch.loss)
-        flat = targets.reshape(-1)
-        gH, gW = _analytic_grads(params.embedding.values, H.values, flat,
-                                 batch.epsilons)
+        gH, gW = head_grads(H.values, params.embedding.values, targets.reshape(-1),
+                            batch.epsilons * np.linalg.norm(H.values, axis=1))
         assert rel_error(H.grad, gH) < 1e-10
         assert rel_error(params.embedding.grad, gW) < 1e-10
 
@@ -262,9 +247,8 @@ class TestAdvNllLoss:
         with Tape() as tape:
             batch = adv_nll_loss(params, H, targets, cfg)
             tape.backward(batch.loss)
-        flat = targets.reshape(-1)
-        gH, gW = _analytic_grads(params.embedding.values, H.values, flat,
-                                 batch.epsilons)
+        gH, gW = head_grads(H.values, params.embedding.values, targets.reshape(-1),
+                            batch.epsilons * np.linalg.norm(H.values, axis=1))
         assert rel_error(H.grad, gH) < 1e-10
         assert rel_error(params.embedding.grad, gW) < 1e-10
 

@@ -10,33 +10,11 @@ import pytest
 
 import advlm.autodiff as ad
 from advlm.errors import ShapeError
+from advlm.verify import fd_check, head_grads, numerical_grad, rel_error
 
-from gradcheck import numerical_grad, rel_error
 from reference import hand_lstm_step, logsumexp_rows, lstm_window_ops
 
 OP_TOL = 1e-4
-
-
-def _loss_of(op, *tensors):
-    """Scalar-reduce an op so finite differences apply; weights fixed per shape."""
-    out = op(*tensors)
-    return ad.weighted_sum(out, _reduction_weights(out.shape))
-
-
-def _reduction_weights(shape):
-    # Non-uniform weights catch backward-rule transposition mistakes that a
-    # plain sum() would mask.
-    n = int(np.prod(shape)) if shape else 1
-    return (np.arange(1, n + 1, dtype=np.float64) / n).reshape(shape)
-
-
-def _check_grads(op, tensors, tol=OP_TOL):
-    with ad.Tape() as tape:
-        loss = _loss_of(op, *tensors)
-    tape.backward(loss)
-    for t in tensors:
-        fd = numerical_grad(lambda: float(_loss_of(op, *tensors).values), t.values)
-        assert rel_error(t.grad, fd) < tol
 
 
 def _lstm_args(rng, L, B, I, H, r=0.5, state=True):
@@ -51,12 +29,6 @@ def _lstm_args(rng, L, B, I, H, r=0.5, state=True):
 
 def _lstm_out(*args):
     return ad.lstm_layer(*args)[0]
-
-
-def _check_lstm_grads(args, tol=OP_TOL):
-    """Check the gradients of all four tensor inputs of lstm_layer."""
-    *tensors, h0, c0 = args
-    _check_grads(lambda *ts: _lstm_out(*ts, h0, c0), tensors, tol)
 
 
 class TestElementwise:
@@ -137,10 +109,7 @@ class TestLogSumExp:
         with ad.Tape() as tape:
             loss = _head(x, eye, targets)[0]
         tape.backward(loss)
-        e = np.exp(x.values - x.values.max(axis=1, keepdims=True))
-        soft = e / e.sum(axis=1, keepdims=True)
-        soft[np.arange(3), targets] -= 1.0
-        soft /= 3  # the loss is the mean over the rows
+        soft = head_grads(x.values, eye.values, targets, 0.0)[0]
         np.testing.assert_allclose(x.grad, soft, rtol=1e-12, atol=1e-15)
         fd = numerical_grad(lambda: float(_head(x, eye, targets)[0].values), x.values)
         assert rel_error(x.grad, fd) < OP_TOL
@@ -180,7 +149,7 @@ class TestGatherRows:
         ids = [3, 1, 1]
         out = ad.gather_rows(m, ids, noise)
         np.testing.assert_array_equal(out.values, m.values[ids] + noise)
-        _check_grads(lambda t: ad.gather_rows(t, ids, noise), [m])
+        assert fd_check(lambda: ad.gather_rows(m, ids, noise), [m], rng) < OP_TOL
 
     def test_noise_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -190,7 +159,7 @@ class TestGatherRows:
         rng = np.random.default_rng(5)
         m = ad.Tensor(rng.uniform(-2, 2, (4, 3)))
         ids = [3, 1, 1, 0]
-        _check_grads(lambda t: ad.gather_rows(t, ids), [m])
+        assert fd_check(lambda: ad.gather_rows(m, ids), [m], rng) < OP_TOL
 
     def test_out_of_range_id(self):
         with pytest.raises(IndexError, match="7"):
@@ -209,7 +178,8 @@ class TestWeightedSum:
 
     def test_scalar_operand(self):
         x = ad.Tensor(3.0)
-        _check_grads(lambda t: ad.weighted_sum(t, 0.75), [x])
+        rng = np.random.default_rng(0)
+        assert fd_check(lambda: ad.weighted_sum(x, 0.75), [x], rng) < OP_TOL
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -310,7 +280,7 @@ class TestBackward:
         rng = np.random.default_rng(6)
         x, w_x, w_h, bias, h0, c0 = _lstm_args(rng, 1, 2, 3, 4)
         params = [w_x, w_h, bias]
-        _check_grads(lambda *ps: _lstm_out(x, *ps, h0, c0), params, tol=1e-6)
+        assert fd_check(lambda: _lstm_out(x, *params, h0, c0), params, rng) < 1e-6
 
     def test_only_leaves_hold_grad(self):
         rng = np.random.default_rng(3)
@@ -329,7 +299,8 @@ class TestBackward:
 class TestLstmLayer:
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(6)
-        _check_lstm_grads(_lstm_args(rng, 3, 2, 3, 4), tol=1e-6)
+        *tensors, h0, c0 = _lstm_args(rng, 3, 2, 3, 4)
+        assert fd_check(lambda: _lstm_out(*tensors, h0, c0), tensors, rng) < 1e-6
 
     def test_matches_hand_steps(self):
         rng = np.random.default_rng(7)
@@ -461,15 +432,14 @@ class TestSupportOps:
         rng = np.random.default_rng(7)
         x, w_x, w_h, bias, h0, c0 = _lstm_args(rng, 2, 2, 1, 3)
         x.values[:] = 1.0
-        with ad.Tape() as tape:
-            loss = _loss_of(_lstm_out, x, w_x, w_h, bias, h0, c0)
-        tape.backward(loss)
+        # the taped pass sets every input's .grad, bias's checked against FD
+        err = fd_check(lambda: _lstm_out(x, w_x, w_h, bias, h0, c0), [bias], rng)
+        assert err < 1e-6
         np.testing.assert_allclose(bias.grad, w_x.grad[0], rtol=1e-12, atol=1e-15)
         moved = _lstm_out(x, ad.Tensor(w_x.values + bias.values), w_h,
                           ad.Tensor(np.zeros(12)), h0, c0)
         np.testing.assert_allclose(moved.values, _lstm_out(x, w_x, w_h, bias, h0, c0).values,
                                    rtol=0, atol=1e-15)
-        _check_grads(lambda b: _lstm_out(x, w_x, w_h, b, h0, c0), [bias], tol=1e-6)
 
     def test_take_per_row(self):
         # w = I: the logits are h itself, and row r's target logit is picked
@@ -480,8 +450,9 @@ class TestSupportOps:
         z[[0, 1], [2, 0]] -= shift
         np.testing.assert_allclose(out, logsumexp_rows(z) - [2.0 - 0.25, 3.0 - 0.5],
                                    rtol=0, atol=1e-15)
-        _check_grads(lambda t: _head(t, ad.Tensor(np.eye(3)), [2, 0], shift)[0],
-                     [h])
+        rng = np.random.default_rng(0)
+        assert fd_check(lambda: _head(h, ad.Tensor(np.eye(3)), [2, 0], shift)[0],
+                        [h], rng) < OP_TOL
 
     def test_take_per_row_out_of_range(self):
         with pytest.raises(IndexError, match="5"):
@@ -501,7 +472,8 @@ class TestSupportOps:
             top = row.max()
             assert lse[r] == pytest.approx(top + math.log(sum(math.exp(v - top) for v in row)),
                                            rel=0, abs=1e-12)
-        _check_grads(lambda t: _head(t, ad.Tensor(np.eye(6)), y)[0], [m])
+        eye = ad.Tensor(np.eye(6))
+        assert fd_check(lambda: _head(m, eye, y)[0], [m], rng) < OP_TOL
 
 
 class TestNllRows:
@@ -520,15 +492,11 @@ class TestNllRows:
         expect = logsumexp_rows(z) - z[rows, y]
         np.testing.assert_allclose(nll, expect, rtol=0, atol=1e-12)
         assert float(loss.values) == pytest.approx(expect.mean(), rel=0, abs=1e-12)
-        # the loss is the window mean: q = (softmax - onehot) / N
-        q = np.exp(z - z.max(axis=1, keepdims=True))
-        q /= q.sum(axis=1, keepdims=True)
-        q[rows, y] -= 1.0
-        q /= 4
-        np.testing.assert_allclose(h.grad, q @ w.values, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(w.grad, q.T @ h.values, rtol=0, atol=1e-12)
         # shift is a constant: the op's gradient is its closed form
-        _check_grads(lambda a, b: ad.nll_rows(a, b, y, shift)[0], [h, w])
+        dh, dw = head_grads(h.values, w.values, y, shift)
+        np.testing.assert_allclose(h.grad, dh, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w.grad, dw, rtol=0, atol=1e-12)
+        assert fd_check(lambda: ad.nll_rows(h, w, y, shift)[0], [h, w], rng) < OP_TOL
 
     def test_shift_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -585,7 +553,7 @@ class TestNllRows:
         h = ad.Tensor(rng.uniform(-2, 2, (n, d)))
         w = ad.Tensor(rng.uniform(-2, 2, (V, d)))
         y, shift = rng.integers(0, V, size=n), rng.uniform(0, 2, n)
-        _check_grads(lambda a, b: ad.nll_rows(a, b, y, shift)[0], [h, w])
+        assert fd_check(lambda: ad.nll_rows(h, w, y, shift)[0], [h, w], rng) < OP_TOL
 
     def test_peak_memory_is_one_logit_matrix(self):
         # the logit matrix held at once is one row block's, well below the
@@ -612,19 +580,21 @@ class TestRandomSweep:
 
     def test_all_ops_random_instances(self):
         rng = np.random.default_rng(11)
+        fd = np.random.default_rng(12)  # FD weights, apart from the instances
         for _ in range(25):
             shape = tuple(rng.integers(1, 5, size=2))
             x = ad.Tensor(rng.uniform(-2, 2, shape))
             w = rng.uniform(-2, 2, shape)
-            _check_grads(lambda t: ad.weighted_sum(t, w), [x])
+            assert fd_check(lambda: ad.weighted_sum(x, w), [x], fd) < OP_TOL
             m = ad.Tensor(rng.uniform(-2, 2, shape))
             ids = rng.integers(0, shape[0], size=3)
-            _check_grads(lambda t: ad.gather_rows(t, ids), [m])
+            assert fd_check(lambda: ad.gather_rows(m, ids), [m], fd) < OP_TOL
         for _ in range(10):
             L, B, I, H = rng.integers(1, 4, size=4)
-            _check_lstm_grads(_lstm_args(rng, L, B, I, H, r=1.0))
+            *tensors, h0, c0 = _lstm_args(rng, L, B, I, H, r=1.0)
+            assert fd_check(lambda: _lstm_out(*tensors, h0, c0), tensors, fd) < OP_TOL
             n, V, d = rng.integers(1, 5, size=3)
             h = ad.Tensor(rng.uniform(-2, 2, (n, d)))
             w = ad.Tensor(rng.uniform(-2, 2, (V, d)))
             y, shift = rng.integers(0, V, size=n), rng.uniform(0, 2, n)
-            _check_grads(lambda a, b: ad.nll_rows(a, b, y, shift)[0], [h, w])
+            assert fd_check(lambda: ad.nll_rows(h, w, y, shift)[0], [h, w], fd) < OP_TOL

@@ -1,12 +1,14 @@
 """Hostile input files: each reader ends in a value or its own input error
 (ConfigError or CorpusError, exit 2), never in another exception."""
 
+import tempfile
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from advlm import cli
 from advlm.cli import TRAIN_SCHEMA, parse_config
-from advlm.corpus import EOS, UNK, Vocab
+from advlm.corpus import EOS, UNK, Vocab, read_tokens
 from advlm.errors import ConfigError, CorpusError
 from advlm.train import LOG_HEADER, TrainLog
 
@@ -31,6 +33,18 @@ VOCAB_TEXT = _edited(st.integers(0, 4).map(lambda n: "".join(
     f"{tok}\t{i}\n" for i, tok in enumerate([UNK, EOS] + [f"w{j}" for j in range(n)]))))
 LOG_TEXT = _edited(st.integers(0, 4).map(lambda n: LOG_HEADER + "\n" + "".join(
     f"{epoch},12.5,14.25,0.5,0.2,0.001\n" for epoch in range(n))))
+
+# lines of words ended by a newline of any kind, a separator Python's file
+# iteration does not break on, or nothing (no final newline), after an
+# optional BOM; one word is a long token and one a long line of tokens
+CORPUS_TEXT = _edited(st.tuples(
+    st.sampled_from(["", "\ufeff"]),
+    st.lists(st.tuples(
+        st.lists(st.sampled_from(["the", "cat", "sat", EOS, UNK, "na\u00efve", "x" * 5000,
+                                  " ".join(["w"] * 300)]), max_size=8),
+        st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\u2028", "\x85", ""])),
+        max_size=12),
+).map(lambda t: t[0] + "".join(" ".join(words) + end for words, end in t[1])))
 
 
 def _file_bytes(near_valid):
@@ -93,3 +107,30 @@ def test_serialized_string_values_read_back_or_raise_config_error(cfg):
     except ConfigError:
         return
     assert parse_config(text) == cfg
+
+
+@FUZZ
+@given(blob=_file_bytes(CORPUS_TEXT))
+def test_corpus_reads_to_tokens_or_raises_corpus_error(tmp_path, blob):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(blob)
+    try:
+        tokens = read_tokens(str(path))
+    except CorpusError:
+        return
+    assert all(tok and not any(ch.isspace() for ch in tok) for tok in tokens)
+    assert not tokens or tokens[-1] == EOS
+
+
+@settings(FUZZ, max_examples=25)
+@given(blob=_file_bytes(CORPUS_TEXT))
+def test_train_on_hostile_corpus_exits_0_or_2(tmp_path, capsys, blob):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        corpus = f"{work}/corpus.txt"
+        with open(corpus, "wb") as fh:
+            fh.write(blob)
+        rc = cli.main(["train", "--corpus", corpus, "--out", f"{work}/out",
+                       "--epochs", "1", "--batch-size", "1", "--bptt-len", "2",
+                       "--embed-dim", "2"])
+    err = capsys.readouterr().err
+    assert rc in (0, 2) and "Traceback" not in err

@@ -21,8 +21,8 @@ from advlm.model import (
     stream_contexts,
     zero_state,
 )
+from advlm.verify import numerical_grad, rel_error
 
-from gradcheck import numerical_grad, rel_error
 from reference import hand_lstm_step as _hand_lstm_step
 from reference import mle_loss_value as _mle_loss_value
 

@@ -10,7 +10,8 @@ The entries, all on the perfbench inputs of seed 4242:
   from the run's ``--trace`` dump; tracing leaves the parameters' bits alone;
 - analyze_wide: the sha256 of report.json and nn_distances.csv;
 - ab_grid: the nine (alpha, seed) results of the A/B experiment;
-- verify: the gradients line of ``advlm verify --seed 0``;
+- verify: every suite line of ``advlm verify --seed 0`` and its exit code;
+  no line holds a time;
 - cli_train: ``advlm train`` for 2 epochs on desk's corpus with two layers,
   ``adaptive:0.005`` and the default input noise (0.2 falling to 0): the
   sha256 of model.bin, vocab.tsv, config.txt, and log.csv without wall_s;
@@ -127,9 +128,7 @@ def run_entry(root: str, name: str, inputs: dict, work: str):
 
     if name == "verify":
         done = advlm("verify", "--seed", "0", cwd=root, check=False)
-        line = next((ln for ln in done.stdout.splitlines() if " gradients:" in ln),
-                    f"no gradients line (exit {done.returncode})")
-        return {"gradients": line}, None
+        return {"lines": done.stdout.splitlines(), "exit": done.returncode}, None
     if name == "corpora":
         tool = _load("make_tiny_corpus", os.path.join(root, "tools", "make_tiny_corpus.py"))
         return {f"{workload} ({n} tokens)":
