@@ -29,8 +29,12 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def read_tokens(path: str) -> list[str]:
-    """Read a UTF-8 text file into a token stream, appending <eos> per line."""
+    """Read a UTF-8 text file into a token stream, appending <eos> per line.
+
+    Equal tokens are one str object: the stream costs one pointer per token
+    plus one string per word type, not one string per token."""
     tokens: list[str] = []
+    canon = {}.setdefault  # first occurrence of each type, for this call only
     try:
         fh = open(path, encoding="utf-8")
     except OSError as e:
@@ -38,7 +42,8 @@ def read_tokens(path: str) -> list[str]:
     with fh:
         try:
             for line in fh:
-                tokens.extend(line.split())
+                words = line.split()
+                tokens.extend(map(canon, words, words))
                 tokens.append(EOS)
         except UnicodeDecodeError as e:
             raise CorpusError(f"corpus {path} is not UTF-8: {e}")

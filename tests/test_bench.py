@@ -1,5 +1,5 @@
 """tools/bench.py: summarising and diffing perfbench results, on canned
-results (no benchmark runs here)."""
+results (no benchmark runs here), and the per-layer timings at a tiny shape."""
 
 import importlib.util
 import json
@@ -77,6 +77,18 @@ def test_diff_against_previous_file():
     assert "figures.analyze_s" not in got["desk"]  # only in the new file
 
 
+def test_diff_takes_layer_medians_per_shape():
+    def record(ms):
+        return {"layers": {"shapes": {"desk": {"V": 239, "layers": {
+            "lstm_layer.forward": bench.spread([ms]),
+            "train.sgd_step": bench.spread([1.0])}}}}}
+    got = bench.diff(record(2.0), record(1.5))
+    assert got == {"layers.desk": {
+        "lstm_layer.forward": {"before": 2.0, "after": 1.5, "change": -0.25},
+        "train.sgd_step": {"before": 1.0, "after": 1.0, "change": 0.0}}}
+    assert bench.diff({"workloads": {}}, record(1.0)) == {}
+
+
 def test_bench_paths_number_after_the_latest(tmp_path):
     assert bench.bench_paths(str(tmp_path)) == (str(tmp_path / "BENCH_1.json"), None)
     for name in ("BENCH_1.json", "BENCH_3.json", "BENCH_x.json", "BENCH_2.json.bak"):
@@ -106,3 +118,32 @@ def test_host_load_flags_other_work_above_a_tenth_of_a_core():
                     "other_cores": pytest.approx(0.125), "busy": True}
     quiet = bench.host_load(STAT_BEFORE, STAT_AFTER, 4.5, 10.0, 100)
     assert quiet["other_cores"] == pytest.approx(0.075) and not quiet["busy"]
+
+
+LAYERS = ("corpus.read_tokens", "gather_rows.forward", "gather_rows.backward",
+          "lstm_layer.forward", "lstm_layer.forward_taped", "lstm_layer.backward",
+          "nll_rows.forward", "nll_rows.taped", "nll_rows.taped_adv", "train.sgd_step",
+          "analysis.singular_values", "analysis.nearest_neighbor_distances",
+          "analysis._recognized_per_probe")
+TINY = {"V": 12, "d": 4, "B": 2, "L": 3}
+
+
+def test_time_layers_times_every_layer_at_a_tiny_shape():
+    got = bench.time_layers(TINY, 3)
+    assert tuple(got) == LAYERS
+    for name, s in got.items():
+        assert len(s["values"]) == 3 and s["median"] > 0, name
+
+
+def test_layers_quick_prints_the_section_and_writes_no_file(monkeypatch, capsys):
+    canned = {**_result(0.2, 1.0, 40.0), "machine": "canned",
+              "host": {"busy": False, "other_cores": 0.0}}
+    monkeypatch.setattr(bench, "run_perfbench", lambda *args: canned)
+    monkeypatch.setattr(bench, "LAYER_SHAPES", {"tiny": TINY})
+    files = sorted(p.name for p in _PATH.parent.parent.glob("BENCH_*"))
+    assert bench.main(["--layers", "--quick"]) == 0
+    assert sorted(p.name for p in _PATH.parent.parent.glob("BENCH_*")) == files
+    layers = json.loads(capsys.readouterr().out)["layers"]
+    assert set(layers["shapes"]["tiny"]["layers"]) == set(LAYERS)  # keys sorted
+    assert layers["repeats"] == bench.LAYER_REPEATS
+    assert "openblas" in layers["machine"] and "openblas_threads" in layers["machine"]

@@ -3,6 +3,7 @@
     python3 tools/bench.py            # seeds 1-3, untraced and traced
     python3 tools/bench.py --tier1    # also time the Tier-1 test command
     python3 tools/bench.py --quick    # 1 seed, 5 s, untraced; prints, writes nothing
+    python3 tools/bench.py --layers   # also time each layer on its own
 
 Adds no timers of its own: for each workload BENCHMARK.json declares and
 each seed it runs ``perfbench/run.py --trace 0`` and ``--trace 1`` for the
@@ -12,6 +13,13 @@ median, IQR and raw values of setup_s, op_s and peak_rss_mb, the medians of
 the printed figures (tokens/s, analyze_s, ab_wall_s) and of the per-layer
 metrics; the machine line and git revision; and the change of every median
 against BENCH_<n-1>.json when that file exists.
+
+With --layers the file also holds a "layers" section: each layer of the
+model called on its own on seeded synthetic inputs, at desk's shape and at
+a softmax-bound V=10k shape (LAYER_SHAPES), as the median and IQR of
+LAYER_REPEATS timed calls after LAYER_WARMUP discarded ones, with the
+machine line (BLAS build and thread count) of the process that timed them.
+Its medians are diffed against the previous file as "layers.<shape>".
 
 Each run also records the host's load beside it: the busy CPU time
 /proc/stat counts over the run, less the CPU time of the bench's own
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import importlib.util
 import json
 import os
 import re
@@ -34,19 +43,38 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from advlm import analysis, corpus, train  # noqa: E402
+from advlm import autodiff as ad  # noqa: E402
+from advlm.advsoft import AdvConfig, adv_nll_loss, epsilons  # noqa: E402
+from advlm.experiment import bundled_corpus_path  # noqa: E402
+from advlm.model import LMConfig, init_params  # noqa: E402
+
 RUN = os.path.join(ROOT, "perfbench", "run.py")
 SEEDS = 3
 GATED = ("setup_s", "op_s", "peak_rss_mb")
 FIGURES = ("train_tokens_per_s", "eval_tokens_per_s", "analyze_s", "ab_wall_s",
            "valid_ppl")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
-NOTE = ("wide_vocab (V=5000, d=200, B=32, L=32) stands in for the softmax-bound "
-        "config of about V=10k; no V=10k workload exists.")
+NOTE = ("wide_vocab (V=5000, d=200, B=32, L=32) is the softmax-bound workload; "
+        "the layers section (--layers) times each layer at V=10k, d=200, B=32, L=32.")
 # Other work on the host, in cores, above which a run is flagged as busy.
 BUSY_CORES = 0.10
 # An end-to-end figure line of perfbench/run.py: "  name  value  unit  better".
 FIGURE = re.compile(r"^  (\w+) +(\S+) +\S+ +(?:lower|higher)$")
+# --layers: the acceptance config's shape, and a softmax-bound one.
+LAYER_SHAPES = {"desk": {"V": 239, "d": 64, "B": 8, "L": 16},
+                "v10k": {"V": 10_000, "d": 200, "B": 32, "L": 32}}
+LAYER_WARMUP = 2
+LAYER_REPEATS = 9
+LAYER_SEED = 0
+# analyze_wide's probe count: 3 windows of 32 x 32 contexts + 1000 random
+PROBES = 4072
+ADV = AdvConfig.parse("adaptive:0.005")
 
 
 def spread(values) -> dict:
@@ -100,18 +128,136 @@ def medians(entry: dict) -> dict:
     return flat
 
 
+def sections(bench: dict) -> dict:
+    """Every median of a BENCH record by section, a workload or
+    "layers.<shape>", and name."""
+    out = {w: medians(e) for w, e in bench.get("workloads", {}).items()}
+    for shape, entry in bench.get("layers", {}).get("shapes", {}).items():
+        out[f"layers.{shape}"] = {k: v["median"] for k, v in entry["layers"].items()}
+    return out
+
+
 def diff(prev: dict, cur: dict) -> dict:
-    """Per workload, before/after/relative change of each median both hold."""
+    """Per section, before/after/relative change of each median both hold."""
+    earlier = sections(prev)
     out = {}
-    for workload, entry in cur["workloads"].items():
-        if workload not in prev.get("workloads", {}):
+    for section, after in sections(cur).items():
+        if section not in earlier:
             continue
-        before, after = medians(prev["workloads"][workload]), medians(entry)
-        out[workload] = {
+        before = earlier[section]
+        out[section] = {
             k: {"before": before[k], "after": after[k],
                 "change": (after[k] - before[k]) / before[k] if before[k] else None}
             for k in after if k in before}
     return out
+
+
+def layer_calls(shape: dict) -> dict:
+    """name -> (prepare, call) for each layer at one shape; call() is timed,
+    after prepare() if it is not None. The inputs are seeded: a one-layer
+    model's init_params, random ids, targets, upstream gradients and probes."""
+    V, d, B, L = shape["V"], shape["d"], shape["B"], shape["L"]
+    n = L * B
+    rng = np.random.default_rng(LAYER_SEED)
+    cfg = LMConfig(vocab_size=V, embed_dim=d)
+    params = init_params(cfg, LAYER_SEED)
+    emb, lay, W = params.embedding, params.layers[0], params.embedding.values
+    ids = rng.integers(0, V, size=n)
+    targets = rng.integers(0, V, size=(L, B))
+    flat, no_shift = targets.reshape(-1), np.zeros(n)
+    g = rng.normal(size=(n, d))  # upstream gradient of the gather and the LSTM
+    probes = rng.normal(size=(PROBES, d))
+    eps_per_word = epsilons(ADV, W)
+    path = bundled_corpus_path()
+    h0 = np.zeros((B, d))
+    x = ad.gather_rows(emb, ids)
+
+    def lstm():
+        return ad.lstm_layer(x, lay.w_x, lay.w_h, lay.bias, h0, h0)
+
+    def taped(op):
+        def call():
+            with ad.Tape():
+                op()
+        return call
+
+    def backward_fn(op):  # the backward closure op records on a tape
+        with ad.Tape() as tape:
+            op()
+        return tape.records[-1][2]
+
+    h = lstm()[0]
+    gather_back = backward_fn(lambda: ad.gather_rows(emb, ids))
+    lstm_back = backward_fn(lstm)
+    stepped = init_params(cfg, LAYER_SEED)  # sgd_step moves its own copy
+    grads = [rng.normal(size=t.shape) for t in stepped.tensors()]
+
+    def fresh_grads():  # sgd_step scales each .grad in place, then clears it
+        for t, grad in zip(stepped.tensors(), grads):
+            t.grad = grad.copy()
+
+    return {
+        "corpus.read_tokens": (None, lambda: corpus.read_tokens(path)),
+        "gather_rows.forward": (None, lambda: ad.gather_rows(emb, ids)),
+        "gather_rows.backward": (None, lambda: gather_back(g)),
+        "lstm_layer.forward": (None, lstm),
+        "lstm_layer.forward_taped": (None, taped(lstm)),
+        "lstm_layer.backward": (None, lambda: lstm_back(g)),
+        "nll_rows.forward": (None, lambda: ad.nll_rows(h, emb, flat, no_shift)),
+        "nll_rows.taped": (None, taped(lambda: ad.nll_rows(h, emb, flat, no_shift))),
+        "nll_rows.taped_adv": (None, taped(lambda: adv_nll_loss(params, h, targets, ADV))),
+        "train.sgd_step": (fresh_grads, lambda: train.sgd_step(stepped, 1.0, 0.25)),
+        "analysis.singular_values": (None, lambda: analysis.singular_values(W)),
+        "analysis.nearest_neighbor_distances":
+            (None, lambda: analysis.nearest_neighbor_distances(W)),
+        "analysis._recognized_per_probe":
+            (None, lambda: analysis._recognized_per_probe(W, probes, eps_per_word)),
+    }
+
+
+def time_layers(shape: dict, repeats: int) -> dict:
+    """name -> spread of the seconds per call of each layer at one shape,
+    its first LAYER_WARMUP calls discarded."""
+    out = {}
+    for name, (prepare, call) in layer_calls(shape).items():
+        times = []
+        for _ in range(LAYER_WARMUP + repeats):
+            if prepare is not None:
+                prepare()
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
+        out[name] = spread(times[LAYER_WARMUP:])
+    return out
+
+
+def _load(name: str, path: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def machine_line() -> dict:
+    """perfbench's machine record, BLAS build and thread count included, of
+    this process."""
+    run = _load("perfbench_run", RUN)
+    program = _load("perfbench_program", os.path.join(ROOT, "perfbench", "program.py"))
+    return run.machine(program.openblas_threads())
+
+
+def layers_section() -> dict:
+    """The "layers" section: every layer timed at each of LAYER_SHAPES. Each
+    median and IQR is also printed to stderr, in ms."""
+    section = {"machine": machine_line(), "seed": LAYER_SEED, "probes": PROBES,
+               "warmup": LAYER_WARMUP, "repeats": LAYER_REPEATS, "shapes": {}}
+    for shape_name, shape in LAYER_SHAPES.items():
+        timed = time_layers(shape, LAYER_REPEATS)
+        section["shapes"][shape_name] = {**shape, "layers": timed}
+        for name, s in timed.items():
+            print(f"layers {shape_name:<5} {name:<36} {1e3 * s['median']:10.3f} ms"
+                  f"  IQR {1e3 * s['iqr']:.3f}", file=sys.stderr)
+    return section
 
 
 def bench_paths(directory: str) -> tuple[str, str | None]:
@@ -199,6 +345,8 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="1 seed, 5 s, untraced; print the summary, write no file")
     ap.add_argument("--tier1", action="store_true", help="also time the Tier-1 tests")
+    ap.add_argument("--layers", action="store_true",
+                    help="also time each layer on its own at LAYER_SHAPES")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)
@@ -229,6 +377,8 @@ def main(argv=None) -> int:
         bench["workloads"][workload]["host"] = [r["host"] for t in traces for r in runs[t]]
     if args.tier1:
         bench["tier1"] = time_tier1()
+    if args.layers:
+        bench["layers"] = layers_section()
 
     path, prev_path = bench_paths(ROOT)
     if prev_path:
