@@ -76,11 +76,6 @@ def _prob_of_row(logits: np.ndarray, i: int) -> float:
     return float(np.exp(logits[i] - m) / np.exp(logits - m).sum())
 
 
-def _check_index(i: int, V: int) -> None:
-    if not 0 <= i < V:
-        raise IndexError(f"word id {i} out of range for vocab size {V}")
-
-
 def advsoft_prob(i: int, W: np.ndarray, h: np.ndarray, eps: float) -> float:
     """Softmax probability of word i after the worst-case target perturbation:
     exp(w_i.h - eps||h||) / (exp(w_i.h - eps||h||) + sum_{j!=i} exp(w_j.h)),
@@ -99,7 +94,7 @@ def brute_force_advsoft(i: int, W: np.ndarray, h: np.ndarray, eps: float,
     W = np.asarray(W, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     V, d = W.shape
-    _check_index(i, V)
+    ad.check_ids(i, V, "word id")
     if num_samples < 1:
         raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
     if V == 1:
@@ -153,12 +148,14 @@ def adv_nll_loss(params: LMParams, contexts: Tensor, targets: np.ndarray,
     """Window-mean NLL (nll_rows' recorded loss) and the total over its
     rows, with each target logit lowered by the detached eps*||h|| offset.
     targets is [L x B]; contexts rows are the matching time-major
-    positions. nll_rows checks the target ids."""
+    positions. The target ids are checked before their rows are gathered
+    for the radius."""
     flat = np.asarray(targets).reshape(-1)
     if contexts.shape[0] != flat.size:
         raise ShapeError(
             f"contexts rows {contexts.shape[0]} != target positions {flat.size}"
         )
+    ad.check_ids(flat, params.embedding.shape[0], "adv_nll_loss: target id")
     eps = epsilons(config, params.embedding.values[flat])
     # constant offsets: no gradient through ||h|| or ||w_target||
     shift = eps * np.linalg.norm(contexts.values, axis=1)

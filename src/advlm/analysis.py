@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advsoft import AdvConfig, _check_index, advsoft_prob, epsilons
+from .advsoft import AdvConfig, advsoft_prob, epsilons
+from .autodiff import check_ids
 from .corpus import write_text_atomic
 from .errors import ConfigError, NumericError, ShapeError, overflow_guard
 from .model import stream_contexts
@@ -136,7 +137,7 @@ def _check_word(i: int, W: np.ndarray) -> np.ndarray:
     V = W.shape[0]
     if V < 2:
         raise ShapeError(f"need at least 2 rows, got {V}")
-    _check_index(i, V)
+    check_ids(i, V, "word id")
     return W
 
 
@@ -220,27 +221,20 @@ def diversity_report(W: np.ndarray, adv: AdvConfig,
                      probe_sets: list[tuple[str, np.ndarray]]) -> DiversityReport:
     """Full diagnostics over labeled probe batches, e.g. [("train", H),
     ("random", R)]. One recognized-word entry per (word, probe source).
-    NumericError for a W that is not finite, or whose distances, radii or
-    margins overflow."""
+    The labels are distinct. NumericError for a W that is not finite, or
+    whose distances, radii or margins overflow."""
     W = np.asarray(W, dtype=np.float64)
     sv = singular_values(W)  # first: it rejects a non-finite W at once
-    seen = set()
     entries = []
     with overflow_guard("diversity report"):
         nn = nearest_neighbor_distances(W)
         eps_vec = epsilons(adv, W)
         for source, H in probe_sets:
             H = np.atleast_2d(np.asarray(H, dtype=np.float64))
-            for w in _recognized_per_probe(W, H, eps_vec):
-                if w < 0 or (int(w), source) in seen:
-                    continue
-                seen.add((int(w), source))
-                entries.append({
-                    "word_id": int(w),
-                    "probe_source": source,
-                    "epsilon": float(eps_vec[w]),
-                    "nn_distance": float(nn[w]),
-                })
+            won = _recognized_per_probe(W, H, eps_vec)
+            entries.extend({"word_id": int(w), "probe_source": source,
+                            "epsilon": float(eps_vec[w]), "nn_distance": float(nn[w])}
+                           for w in np.unique(won[won >= 0]))
     entries.sort(key=lambda e: (e["word_id"], e["probe_source"]))
     return DiversityReport(nn, sv, sv_entropy(sv), entries)
 

@@ -125,6 +125,15 @@ def weighted_sum(t: Tensor, weights) -> Tensor:
     return _record((t.values * weights).sum(), (t,), lambda g: (g * weights,))
 
 
+def check_ids(ids, n: int, what: str) -> np.ndarray:
+    """ids as int64, or IndexError naming the first one outside [0, n)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        bad = int(ids[(ids < 0) | (ids >= n)][0])
+        raise IndexError(f"{what} {bad} out of range [0, {n})")
+    return ids
+
+
 def gather_rows(m: Tensor, ids, noise=None) -> Tensor:
     """Select rows of a matrix by index, plus the constant noise array if
     given; backward scatter-adds into m.
@@ -134,11 +143,7 @@ def gather_rows(m: Tensor, ids, noise=None) -> Tensor:
     """
     if m.values.ndim != 2:
         raise ShapeError(f"gather_rows: expected a matrix, got shape {m.values.shape}")
-    ids = np.asarray(ids, dtype=np.int64)
-    n_rows = m.values.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
-        bad = int(ids[(ids < 0) | (ids >= n_rows)][0])
-        raise IndexError(f"gather_rows: id {bad} out of range [0, {n_rows})")
+    ids = check_ids(ids, m.values.shape[0], "gather_rows: id")
     shape = m.values.shape
 
     def _back(g):
@@ -280,9 +285,7 @@ def nll_rows(h: Tensor, w: Tensor, targets, shift):
             f"nll_rows: need {n} targets and shifts, got shapes "
             f"{targets.shape} and {shift.shape}"
         )
-    if targets.min() < 0 or targets.max() >= V:
-        bad = int(targets[(targets < 0) | (targets >= V)][0])
-        raise IndexError(f"nll_rows: target id {bad} out of range [0, {V})")
+    check_ids(targets, V, "nll_rows: target id")
     taped = _active is not None
     inv_n = 1.0 / n
     out = np.empty(n)

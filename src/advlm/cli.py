@@ -21,7 +21,7 @@ import numpy as np
 from .advsoft import AdvConfig
 from .analysis import context_probes, diversity_report, random_probes
 from .corpus import (BatchStream, Vocab, batchify, build_vocab, read_tokens,
-                     split_tokens, write_text_atomic)
+                     split_tokens, text_lines, write_text_atomic)
 from .errors import (CheckpointError, ConfigError, CorpusError, NumericError,
                      ShapeError)
 from .model import LMConfig, init_params, load_checkpoint, save_checkpoint
@@ -125,11 +125,7 @@ def _merged_train_config(args) -> dict:
     cfg = {key: opt.default for key, opt in TRAIN_SCHEMA.items()}
     file_cfg = {}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                file_cfg = parse_config(fh.read())
-            except UnicodeDecodeError as e:
-                raise ConfigError(f"config {args.config} is not UTF-8: {e}")
+        file_cfg = parse_config("".join(text_lines(args.config, "config", ConfigError)))
         cfg.update(file_cfg)
     for key in TRAIN_SCHEMA:
         value = getattr(args, key)

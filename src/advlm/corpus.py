@@ -16,7 +16,6 @@ from .errors import ConfigError, CorpusError
 UNK = "<unk>"
 EOS = "<eos>"
 UNK_ID = 0
-EOS_ID = 1
 VALID_FRACTION = 0.1
 
 
@@ -28,6 +27,21 @@ def write_text_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def text_lines(path: str, what: str, error):
+    """The lines of a UTF-8 text file, for a caller to iterate. The file is
+    opened here, so an OSError from the open raises from this call; a line
+    that is not UTF-8 raises error(f"{what} {path} is not UTF-8: ...")."""
+    fh = open(path, encoding="utf-8")
+
+    def lines():
+        with fh:
+            try:
+                yield from fh
+            except UnicodeDecodeError as e:
+                raise error(f"{what} {path} is not UTF-8: {e}")
+    return lines()
+
+
 def read_tokens(path: str) -> list[str]:
     """Read a UTF-8 text file into a token stream, appending <eos> per line.
 
@@ -36,17 +50,13 @@ def read_tokens(path: str) -> list[str]:
     tokens: list[str] = []
     canon = {}.setdefault  # first occurrence of each type, for this call only
     try:
-        fh = open(path, encoding="utf-8")
+        lines = text_lines(path, "corpus", CorpusError)
     except OSError as e:
         raise CorpusError(f"cannot read corpus {path}: {e}")
-    with fh:
-        try:
-            for line in fh:
-                words = line.split()
-                tokens.extend(map(canon, words, words))
-                tokens.append(EOS)
-        except UnicodeDecodeError as e:
-            raise CorpusError(f"corpus {path} is not UTF-8: {e}")
+    for line in lines:
+        words = line.split()
+        tokens.extend(map(canon, words, words))
+        tokens.append(EOS)
     return tokens
 
 
@@ -81,19 +91,15 @@ class Vocab:
     @classmethod
     def load(cls, path: str) -> "Vocab":
         id_to_token: list[str] = []
-        with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(text_lines(path, "vocab", CorpusError)):
             try:
-                for lineno, line in enumerate(fh):
-                    try:
-                        tok, idx = line.rstrip("\n").split("\t")
-                        idx = int(idx)
-                    except ValueError:
-                        raise CorpusError(f"{path}:{lineno + 1}: expected 'token<TAB>id'")
-                    if idx != lineno:
-                        raise CorpusError(f"{path}:{lineno + 1}: ids must be dense and ordered")
-                    id_to_token.append(tok)
-            except UnicodeDecodeError as e:
-                raise CorpusError(f"vocab {path} is not UTF-8: {e}")
+                tok, idx = line.rstrip("\n").split("\t")
+                idx = int(idx)
+            except ValueError:
+                raise CorpusError(f"{path}:{lineno + 1}: expected 'token<TAB>id'")
+            if idx != lineno:
+                raise CorpusError(f"{path}:{lineno + 1}: ids must be dense and ordered")
+            id_to_token.append(tok)
         if not id_to_token:
             raise CorpusError(f"{path}: empty vocab file")
         return cls(id_to_token)

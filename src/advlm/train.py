@@ -17,7 +17,7 @@ import numpy as np
 
 from .advsoft import AdvConfig, adv_nll_loss
 from .autodiff import Tape
-from .corpus import BatchStream, write_text_atomic
+from .corpus import BatchStream, text_lines, write_text_atomic
 from .errors import ConfigError, NumericError, overflow_guard
 from .model import LMParams, forward, stream_contexts, zero_state
 
@@ -103,15 +103,11 @@ class TrainLog:
     @classmethod
     def load(cls, path: str) -> "TrainLog":
         log = cls()
-        with open(path, encoding="utf-8") as fh:
-            try:
-                header = fh.readline().strip()
-                lines = fh.readlines()
-            except UnicodeDecodeError as e:
-                raise ConfigError(f"log {path} is not UTF-8: {e}")
+        lines = list(text_lines(path, "log", ConfigError))
+        header = lines[0].strip() if lines else ""
         if header != LOG_HEADER:
             raise ConfigError(f"{path}: unexpected log header {header!r}")
-        for lineno, line in enumerate(lines, 2):
+        for lineno, line in enumerate(lines[1:], 2):
             try:
                 epoch, *rest = line.strip().split(",")
                 row = LogRow(int(epoch), *map(float, rest))

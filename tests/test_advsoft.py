@@ -294,8 +294,12 @@ class TestAdvNllLoss:
             adv_nll_loss(params, H, targets[:1], AdvConfig())
 
     def test_target_out_of_range_rejected(self):
+        # checked before the radius gathers the target rows, in every mode
         params, H, _ = self._setup()
         bad = np.array([[0, 1], [2, 9]])
-        with pytest.raises(IndexError):
-            adv_nll_loss(params, H, bad, AdvConfig())
+        for adv in (AdvConfig(), AdvConfig.parse("adaptive:0.5")):
+            with pytest.raises(IndexError, match="target id 9"):
+                adv_nll_loss(params, H, bad, adv)
+            with pytest.raises(IndexError, match="target id -1"):
+                adv_nll_loss(params, H, np.array([[0, -1], [2, 3]]), adv)
 

@@ -166,6 +166,20 @@ class TestGatherRows:
             ad.gather_rows(ad.Tensor(np.zeros((4, 3))), [0, 7])
 
 
+class TestCheckIds:
+    def test_scalar_empty_and_first_bad_id(self):
+        ids = ad.check_ids(3, 4, "word id")
+        assert ids.dtype == np.int64 and ids.shape == () and ids == 3
+        with pytest.raises(IndexError, match=r"word id 4 out of range \[0, 4\)"):
+            ad.check_ids(4, 4, "word id")
+        with pytest.raises(IndexError, match="word id -1 "):
+            ad.check_ids(-1, 4, "word id")
+        empty = ad.check_ids([], 0, "id")
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+        with pytest.raises(IndexError, match="id 7 "):
+            ad.check_ids([0, 7, -2], 4, "id")
+
+
 class TestWeightedSum:
     def test_value_and_gradient_are_the_weights(self):
         x = ad.Tensor([1.0, 2.0, 3.0])

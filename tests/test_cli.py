@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import struct
 import warnings
 from dataclasses import replace
@@ -16,7 +17,7 @@ from advlm import cli
 from advlm.cli import (TRAIN_SCHEMA, main, parse_config, resolve_seed,
                        serialize_config, split_tokens)
 from advlm.corpus import Vocab, batchify, build_vocab, read_tokens
-from advlm.errors import ConfigError, NumericError
+from advlm.errors import ConfigError, CorpusError, NumericError
 from advlm.model import (LMConfig, init_params, load_checkpoint, save_checkpoint,
                          stream_contexts)
 from advlm.experiment import bundled_corpus_path
@@ -97,6 +98,25 @@ class TestConfigParsing:
     def test_every_key_has_default_and_round_trips(self):
         defaults = {k: opt.default for k, opt in TRAIN_SCHEMA.items()}
         assert parse_config(serialize_config(defaults)) == defaults
+
+
+@pytest.mark.parametrize("kind, error", [("corpus", CorpusError),
+                                         ("vocab", CorpusError),
+                                         ("log", ConfigError),
+                                         ("config", ConfigError)])
+def test_non_utf8_text_file_names_its_kind_and_path(kind, error, tmp_path, capsys):
+    path = str(tmp_path / f"{kind}.txt")
+    with open(path, "wb") as fh:
+        fh.write("<unk>\t0\n<eos>\t1\ncaf\u00e9\t2\n".encode("latin-1"))
+    message = f"{kind} {path} is not UTF-8"
+    if kind == "config":
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        return
+    load = {"corpus": read_tokens, "vocab": Vocab.load, "log": TrainLog.load}[kind]
+    with pytest.raises(error, match=re.escape(message)):
+        load(path)
 
 
 class TestSeedResolution:

@@ -7,7 +7,6 @@ import pytest
 
 from advlm.corpus import (
     EOS,
-    EOS_ID,
     UNK,
     UNK_ID,
     BatchStream,
@@ -32,7 +31,7 @@ class TestVocab:
     def test_reserved_ids(self):
         v = build_vocab(_tokens_from("a b a"))
         assert v.id_to_token[UNK_ID] == UNK
-        assert v.id_to_token[EOS_ID] == EOS
+        assert v.token_to_id[EOS] == 1
         assert len(v) == 4
         assert set(v.id_to_token) == {UNK, EOS, "a", "b"}
 

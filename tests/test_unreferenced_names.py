@@ -1,10 +1,11 @@
 """Guard against code with no caller, and against knobs nobody sets.
 
-Every non-dunder function, method and class defined in src/advlm must be
-named somewhere in src/advlm or perfbench outside its own definition. Names
-are matched, not resolved: an identifier, an attribute, an imported name or
-a string that is a dotted name (perfbench looks functions up by string) all
-count, so a method shares its name with any other use of that name.
+Every non-dunder function, method, class and module-level ``NAME = ...``
+defined in src/advlm must be named somewhere in src/advlm or perfbench
+outside its own definition. Names are matched, not resolved: an identifier
+read, an attribute, an imported name or a string that is a dotted name
+(perfbench looks functions up by string) all count, so a method shares its
+name with any other use of that name. A store to a name is no reference.
 
 Every defaulted parameter of a function in src/advlm must be passed by some
 call in src/advlm, perfbench or tools, by keyword or by position, to a
@@ -35,13 +36,16 @@ def _names(tree):
     """(definitions, references) of one module. A reference made inside a
     definition's own body does not count for that definition."""
     defs, refs = [], set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            defs.extend(t.id for t in node.targets if isinstance(t, ast.Name))
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defs.append(node.name)
             enclosing = enclosing | {node.name}
         names = []
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names = [node.id]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
@@ -79,6 +83,13 @@ def test_guard_flags_a_name_used_only_by_itself():
                      "def used():\n    pass\n\nused()\n")
     defs, refs = _names(tree)
     assert sorted(set(defs) - refs) == ["lonely"]
+
+
+def test_guard_flags_a_constant_no_code_reads():
+    tree = ast.parse("LONELY = 1\nREAD = 2\n\ndef f():\n    global LONELY\n"
+                     "    LONELY = READ\n\nf()\n")
+    defs, refs = _names(tree)
+    assert sorted(set(defs) - refs) == ["LONELY"]
 
 
 def _callee(node):

@@ -55,8 +55,10 @@ from advlm.experiment import bundled_corpus_path  # noqa: E402
 from advlm.model import LMConfig, init_params  # noqa: E402
 
 RUN = os.path.join(ROOT, "perfbench", "run.py")
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    DECLARED = json.load(_fh)
 SEEDS = 3
-GATED = ("setup_s", "op_s", "peak_rss_mb")
+GATED = tuple(m["name"] for m in DECLARED["end_to_end"])
 FIGURES = ("train_tokens_per_s", "eval_tokens_per_s", "analyze_s", "ab_wall_s",
            "valid_ppl")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -336,7 +338,7 @@ def time_tier1() -> dict:
     done = subprocess.run(TIER1, capture_output=True, text=True, cwd=ROOT, env=env)
     wall = time.monotonic() - t0
     tail = done.stdout.strip().splitlines()
-    return {"command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors",
+    return {"command": " ".join(["PYTHONPATH=src python", *TIER1[1:]]),
             "wall_s": wall, "summary": tail[-1] if tail else ""}
 
 
@@ -348,17 +350,15 @@ def main(argv=None) -> int:
     ap.add_argument("--layers", action="store_true",
                     help="also time each layer on its own at LAYER_SHAPES")
     args = ap.parse_args(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        declared = json.load(fh)
     seeds = 1 if args.quick else SEEDS
-    seconds = 5.0 if args.quick else declared["run_seconds"]
+    seconds = 5.0 if args.quick else DECLARED["run_seconds"]
     traces = (0,) if args.quick else (0, 1)
 
     bench = {"revision": git("rev-parse", "HEAD"),
              "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
              "seeds": list(range(1, seeds + 1)),
              "seconds": seconds, "note": NOTE, "workloads": {}, "busy_runs": []}
-    for workload in (w["name"] for w in declared["workloads"]):
+    for workload in (w["name"] for w in DECLARED["workloads"]):
         runs = {t: [] for t in traces}
         for seed in bench["seeds"]:
             for t in traces:
