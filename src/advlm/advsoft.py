@@ -155,7 +155,7 @@ def adv_nll_loss(params: LMParams, contexts: Tensor, targets: np.ndarray,
         raise ShapeError(
             f"contexts rows {contexts.shape[0]} != target positions {flat.size}"
         )
-    ad.check_ids(flat, params.embedding.shape[0], "adv_nll_loss: target id")
+    flat = ad.check_ids(flat, params.embedding.shape[0], "adv_nll_loss: target id")
     eps = epsilons(config, params.embedding.values[flat])
     # constant offsets: no gradient through ||h|| or ||w_target||
     shift = eps * np.linalg.norm(contexts.values, axis=1)

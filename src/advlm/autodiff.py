@@ -126,8 +126,12 @@ def weighted_sum(t: Tensor, weights) -> Tensor:
 
 
 def check_ids(ids, n: int, what: str) -> np.ndarray:
-    """ids as int64, or IndexError naming the first one outside [0, n)."""
-    ids = np.asarray(ids, dtype=np.int64)
+    """ids as int64, or IndexError naming a dtype that is not integer (bool
+    included) or the first id outside [0, n). Empty ids of any dtype pass."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise IndexError(f"{what} dtype {ids.dtype} is not an integer type")
+    ids = ids.astype(np.int64, copy=False)
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         bad = int(ids[(ids < 0) | (ids >= n)][0])
         raise IndexError(f"{what} {bad} out of range [0, {n})")
@@ -278,14 +282,14 @@ def nll_rows(h: Tensor, w: Tensor, targets, shift):
             f"{hv.shape} and {wv.shape}"
         )
     n, V = hv.shape[0], wv.shape[0]
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = np.asarray(targets)
     shift = np.asarray(shift, dtype=np.float64)
     if targets.shape != (n,) or shift.shape != (n,):
         raise ShapeError(
             f"nll_rows: need {n} targets and shifts, got shapes "
             f"{targets.shape} and {shift.shape}"
         )
-    check_ids(targets, V, "nll_rows: target id")
+    targets = check_ids(targets, V, "nll_rows: target id")
     taped = _active is not None
     inv_n = 1.0 / n
     out = np.empty(n)

@@ -303,3 +303,11 @@ class TestAdvNllLoss:
             with pytest.raises(IndexError, match="target id -1"):
                 adv_nll_loss(params, H, np.array([[0, -1], [2, 3]]), adv)
 
+    def test_float_targets_rejected(self):
+        params, H, targets = self._setup()
+        for adv in (AdvConfig(), AdvConfig.parse("adaptive:0.5")):
+            with pytest.raises(IndexError, match="adv_nll_loss: target id dtype float64"):
+                adv_nll_loss(params, H, targets + 0.5, adv)
+            with pytest.raises(ShapeError):  # the shapes are checked first
+                adv_nll_loss(params, H, (targets + 0.5)[:1], adv)
+

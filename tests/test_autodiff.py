@@ -165,6 +165,11 @@ class TestGatherRows:
         with pytest.raises(IndexError, match="7"):
             ad.gather_rows(ad.Tensor(np.zeros((4, 3))), [0, 7])
 
+    def test_float_ids_rejected(self):
+        m = ad.Tensor(np.arange(12.0).reshape(4, 3))
+        with pytest.raises(IndexError, match="gather_rows: id dtype float64"):
+            ad.gather_rows(m, [1.7, 3.2])
+
 
 class TestCheckIds:
     def test_scalar_empty_and_first_bad_id(self):
@@ -178,6 +183,12 @@ class TestCheckIds:
         assert empty.dtype == np.int64 and empty.shape == (0,)
         with pytest.raises(IndexError, match="id 7 "):
             ad.check_ids([0, 7, -2], 4, "id")
+
+    @pytest.mark.parametrize("ids", [[1.7, 3.2], np.array([2.0]), 1.0,
+                                     [True, False], np.array([1 + 0j]), 2**70])
+    def test_non_integer_dtype_rejected(self, ids):
+        with pytest.raises(IndexError, match="id dtype .* is not an integer type"):
+            ad.check_ids(ids, 4, "id")
 
 
 class TestWeightedSum:
@@ -516,6 +527,13 @@ class TestNllRows:
         with pytest.raises(ShapeError):
             ad.nll_rows(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.eye(3)), [0, 1],
                         np.zeros(3))
+
+    def test_float_targets_rejected(self):
+        h, w = ad.Tensor(np.ones((2, 3))), ad.Tensor(np.eye(4, 3))
+        with pytest.raises(IndexError, match="nll_rows: target id dtype float64"):
+            ad.nll_rows(h, w, [1.9, 0.5], [0.0, 0.0])
+        with pytest.raises(ShapeError):  # the shapes are checked first
+            ad.nll_rows(h, w, [1.9, 0.5, 0.2], [0.0, 0.0])
 
     def test_second_backward_raises(self):
         # the forward forms the gradients and backward hands them over; the

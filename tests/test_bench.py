@@ -1,5 +1,6 @@
 """tools/bench.py: summarising and diffing perfbench results, on canned
-results (no benchmark runs here), and the per-layer timings at a tiny shape."""
+results (no benchmark runs here), the per-layer timings at a tiny shape, and
+the one command, written and --quick, on canned runs."""
 
 import importlib.util
 import json
@@ -135,15 +136,62 @@ def test_time_layers_times_every_layer_at_a_tiny_shape():
         assert len(s["values"]) == 3 and s["median"] > 0, name
 
 
-def test_layers_quick_prints_the_section_and_writes_no_file(monkeypatch, capsys):
+def test_layer_shapes_desk_is_the_acceptance_config():
+    assert bench.layer_shapes() == {"desk": {"V": 239, "d": 64, "B": 8, "L": 16},
+                                    "v10k": {"V": 10_000, "d": 200, "B": 32, "L": 32}}
+
+
+@pytest.fixture
+def canned_runs(monkeypatch):
+    """Canned perfbench runs, the tiny layer shape, and a Tier-1 that records
+    that it was asked for instead of starting pytest."""
     canned = {**_result(0.2, 1.0, 40.0), "machine": "canned",
               "host": {"busy": False, "other_cores": 0.0}}
+    tier1 = []
+
+    def time_tier1():
+        tier1.append("called")
+        return {"wall_s": 1.0, "summary": "canned"}
+
     monkeypatch.setattr(bench, "run_perfbench", lambda *args: canned)
-    monkeypatch.setattr(bench, "LAYER_SHAPES", {"tiny": TINY})
+    monkeypatch.setattr(bench, "layer_shapes", lambda: {"tiny": TINY})
+    monkeypatch.setattr(bench, "time_tier1", time_tier1)
+    return tier1
+
+
+def test_one_command_writes_tier1_layers_and_change(canned_runs, monkeypatch, tmp_path,
+                                                    capsys):
+    real_paths = bench.bench_paths
+    monkeypatch.setattr(bench, "bench_paths", lambda _: real_paths(str(tmp_path)))
+    (tmp_path / "BENCH_1.json").write_text(json.dumps(
+        {"workloads": {"desk": bench.summarize([_result(0.2, 2.0, 40.0)], [])}}))
+    assert bench.main([]) == 0
+    assert capsys.readouterr().out == ""
+    record = json.loads((tmp_path / "BENCH_2.json").read_text())
+    assert record["tier1"] == {"wall_s": 1.0, "summary": "canned"}
+    assert canned_runs == ["called"]
+    assert set(record["layers"]["shapes"]["tiny"]["layers"]) == set(LAYERS)
+    assert record["seeds"] == [1, 2, 3]
+    assert record["change_vs"] == "BENCH_1.json"
+    assert record["change"]["desk"]["op_s"] == {"before": 2.0, "after": 1.0, "change": -0.5}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_1.json", "BENCH_2.json"]
+
+
+def test_layers_quick_prints_the_section_and_writes_no_file(canned_runs, capsys):
     files = sorted(p.name for p in _PATH.parent.parent.glob("BENCH_*"))
-    assert bench.main(["--layers", "--quick"]) == 0
+    assert bench.main(["--quick"]) == 0
     assert sorted(p.name for p in _PATH.parent.parent.glob("BENCH_*")) == files
-    layers = json.loads(capsys.readouterr().out)["layers"]
+    record = json.loads(capsys.readouterr().out)
+    assert "tier1" not in record and canned_runs == []
+    assert record["seeds"] == [1] and record["seconds"] == 5.0
+    layers = record["layers"]
     assert set(layers["shapes"]["tiny"]["layers"]) == set(LAYERS)  # keys sorted
     assert layers["repeats"] == bench.LAYER_REPEATS
     assert "openblas" in layers["machine"] and "openblas_threads" in layers["machine"]
+
+
+@pytest.mark.parametrize("flag", ["--tier1", "--layers"])
+def test_folded_flags_are_gone(flag, canned_runs):  # stubbed, should one run
+    with pytest.raises(SystemExit) as e:
+        bench.main([flag])
+    assert e.value.code == 2

@@ -1,25 +1,24 @@
 """Write BENCH_<n>.json: the benchmark's numbers at one git revision.
 
-    python3 tools/bench.py            # seeds 1-3, untraced and traced
-    python3 tools/bench.py --tier1    # also time the Tier-1 test command
-    python3 tools/bench.py --quick    # 1 seed, 5 s, untraced; prints, writes nothing
-    python3 tools/bench.py --layers   # also time each layer on its own
+    python3 tools/bench.py            # the record, about 15 min; writes it
+    python3 tools/bench.py --quick    # 1 seed, 5 s, untraced, no Tier-1; prints it
 
-Adds no timers of its own: for each workload BENCHMARK.json declares and
-each seed it runs ``perfbench/run.py --trace 0`` and ``--trace 1`` for the
-declared run_seconds and reads the JSON line each prints last. If any run is not correct or has a failed operation,
-nothing is written and the exit code is 1. The file holds, per workload, the
-median, IQR and raw values of setup_s, op_s and peak_rss_mb, the medians of
-the printed figures (tokens/s, analyze_s, ab_wall_s) and of the per-layer
-metrics; the machine line and git revision; and the change of every median
-against BENCH_<n-1>.json when that file exists.
+For each workload BENCHMARK.json declares and each of seeds 1-3 it runs
+``perfbench/run.py --trace 0`` and ``--trace 1`` for the declared
+run_seconds and reads the JSON line each prints last. If any run is not
+correct or has a failed operation, nothing is written and the exit code is
+1. The file holds, per workload, the median, IQR and raw values of setup_s,
+op_s and peak_rss_mb, the medians of the printed figures (tokens/s,
+analyze_s, ab_wall_s) and of the per-layer metrics; the wall time of the
+Tier-1 test command ("tier1"); the machine line and git revision; and the
+change of every median against BENCH_<n-1>.json when that file exists.
 
-With --layers the file also holds a "layers" section: each layer of the
-model called on its own on seeded synthetic inputs, at desk's shape and at
-a softmax-bound V=10k shape (LAYER_SHAPES), as the median and IQR of
-LAYER_REPEATS timed calls after LAYER_WARMUP discarded ones, with the
-machine line (BLAS build and thread count) of the process that timed them.
-Its medians are diffed against the previous file as "layers.<shape>".
+It also holds a "layers" section: each layer of the model called on its own
+on seeded synthetic inputs, at desk's shape and at a softmax-bound V=10k
+shape (layer_shapes()), as the median and IQR of LAYER_REPEATS timed calls
+after LAYER_WARMUP discarded ones, with the machine line (BLAS build and
+thread count) of the process that timed them. Its medians are diffed
+against the previous file as "layers.<shape>".
 
 Each run also records the host's load beside it: the busy CPU time
 /proc/stat counts over the run, less the CPU time of the bench's own
@@ -48,10 +47,9 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from advlm import analysis, corpus, train  # noqa: E402
+from advlm import analysis, corpus, experiment, train  # noqa: E402
 from advlm import autodiff as ad  # noqa: E402
 from advlm.advsoft import AdvConfig, adv_nll_loss, epsilons  # noqa: E402
-from advlm.experiment import bundled_corpus_path  # noqa: E402
 from advlm.model import LMConfig, init_params  # noqa: E402
 
 RUN = os.path.join(ROOT, "perfbench", "run.py")
@@ -63,20 +61,17 @@ FIGURES = ("train_tokens_per_s", "eval_tokens_per_s", "analyze_s", "ab_wall_s",
            "valid_ppl")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 NOTE = ("wide_vocab (V=5000, d=200, B=32, L=32) is the softmax-bound workload; "
-        "the layers section (--layers) times each layer at V=10k, d=200, B=32, L=32.")
+        "the layers section times each layer at desk's shape and at v10k's.")
 # Other work on the host, in cores, above which a run is flagged as busy.
 BUSY_CORES = 0.10
 # An end-to-end figure line of perfbench/run.py: "  name  value  unit  better".
 FIGURE = re.compile(r"^  (\w+) +(\S+) +\S+ +(?:lower|higher)$")
-# --layers: the acceptance config's shape, and a softmax-bound one.
-LAYER_SHAPES = {"desk": {"V": 239, "d": 64, "B": 8, "L": 16},
-                "v10k": {"V": 10_000, "d": 200, "B": 32, "L": 32}}
 LAYER_WARMUP = 2
 LAYER_REPEATS = 9
 LAYER_SEED = 0
 # analyze_wide's probe count: 3 windows of 32 x 32 contexts + 1000 random
 PROBES = 4072
-ADV = AdvConfig.parse("adaptive:0.005")
+ADV = AdvConfig("adaptive", experiment.ADV_ALPHA)
 
 
 def spread(values) -> dict:
@@ -154,6 +149,14 @@ def diff(prev: dict, cur: dict) -> dict:
     return out
 
 
+def layer_shapes() -> dict:
+    """The acceptance config's shape on the bundled corpus, and a softmax-bound one."""
+    acc = experiment.ACCEPTANCE
+    return {"desk": {"V": experiment.load_split(None)[2], "d": experiment.EMBED_DIM,
+                     "B": acc.batch_size, "L": acc.bptt_len},
+            "v10k": {"V": 10_000, "d": 200, "B": 32, "L": 32}}
+
+
 def layer_calls(shape: dict) -> dict:
     """name -> (prepare, call) for each layer at one shape; call() is timed,
     after prepare() if it is not None. The inputs are seeded: a one-layer
@@ -170,7 +173,7 @@ def layer_calls(shape: dict) -> dict:
     g = rng.normal(size=(n, d))  # upstream gradient of the gather and the LSTM
     probes = rng.normal(size=(PROBES, d))
     eps_per_word = epsilons(ADV, W)
-    path = bundled_corpus_path()
+    path = experiment.bundled_corpus_path()
     h0 = np.zeros((B, d))
     x = ad.gather_rows(emb, ids)
 
@@ -249,11 +252,11 @@ def machine_line() -> dict:
 
 
 def layers_section() -> dict:
-    """The "layers" section: every layer timed at each of LAYER_SHAPES. Each
-    median and IQR is also printed to stderr, in ms."""
+    """The "layers" section: every layer timed at each of layer_shapes().
+    Each median and IQR is also printed to stderr, in ms."""
     section = {"machine": machine_line(), "seed": LAYER_SEED, "probes": PROBES,
                "warmup": LAYER_WARMUP, "repeats": LAYER_REPEATS, "shapes": {}}
-    for shape_name, shape in LAYER_SHAPES.items():
+    for shape_name, shape in layer_shapes().items():
         timed = time_layers(shape, LAYER_REPEATS)
         section["shapes"][shape_name] = {**shape, "layers": timed}
         for name, s in timed.items():
@@ -345,10 +348,7 @@ def time_tier1() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="write BENCH_<n>.json from perfbench")
     ap.add_argument("--quick", action="store_true",
-                    help="1 seed, 5 s, untraced; print the summary, write no file")
-    ap.add_argument("--tier1", action="store_true", help="also time the Tier-1 tests")
-    ap.add_argument("--layers", action="store_true",
-                    help="also time each layer on its own at LAYER_SHAPES")
+                    help="1 seed, 5 s, untraced, no Tier-1; print, write nothing")
     args = ap.parse_args(argv)
     seeds = 1 if args.quick else SEEDS
     seconds = 5.0 if args.quick else DECLARED["run_seconds"]
@@ -375,10 +375,9 @@ def main(argv=None) -> int:
         bench.setdefault("machine", runs[0][0]["machine"])
         bench["workloads"][workload] = summarize(runs[0], runs.get(1, []))
         bench["workloads"][workload]["host"] = [r["host"] for t in traces for r in runs[t]]
-    if args.tier1:
+    if not args.quick:
         bench["tier1"] = time_tier1()
-    if args.layers:
-        bench["layers"] = layers_section()
+    bench["layers"] = layers_section()
 
     path, prev_path = bench_paths(ROOT)
     if prev_path:
@@ -389,9 +388,7 @@ def main(argv=None) -> int:
     if args.quick:
         sys.stdout.write(text)
         return 0
-    with open(path + ".tmp", "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(path + ".tmp", path)
+    corpus.write_text_atomic(path, text)
     print(f"wrote {path}", file=sys.stderr)
     return 0
 
