@@ -125,13 +125,19 @@ def weighted_sum(t: Tensor, weights) -> Tensor:
     return _record((t.values * weights).sum(), (t,), lambda g: (g * weights,))
 
 
-def check_ids(ids, n: int, what: str) -> np.ndarray:
+def integer_ids(ids, what: str) -> np.ndarray:
     """ids as int64, or IndexError naming a dtype that is not integer (bool
-    included) or the first id outside [0, n). Empty ids of any dtype pass."""
+    included). Empty ids of any dtype pass."""
     ids = np.asarray(ids)
     if ids.size and ids.dtype.kind not in "iu":
         raise IndexError(f"{what} dtype {ids.dtype} is not an integer type")
-    ids = ids.astype(np.int64, copy=False)
+    return ids.astype(np.int64, copy=False)
+
+
+def check_ids(ids, n: int, what: str) -> np.ndarray:
+    """integer_ids(ids, what), or IndexError naming the first id outside
+    [0, n)."""
+    ids = integer_ids(ids, what)
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         bad = int(ids[(ids < 0) | (ids >= n)][0])
         raise IndexError(f"{what} {bad} out of range [0, {n})")

@@ -11,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 
+from .autodiff import integer_ids
 from .errors import ConfigError, CorpusError
 
 UNK = "<unk>"
@@ -166,14 +167,14 @@ class BatchStream:
 
 
 def batchify(ids, batch_size: int, bptt_len: int) -> BatchStream:
-    """Lay out a token-id sequence as a BatchStream. A sequence without a
-    window is rejected before the layout, so no batch_size reaches numpy's
-    size limits."""
+    """Lay out a token-id sequence as a BatchStream. Ids that are not integers
+    (integer_ids) and a sequence without a window are rejected before the
+    layout, the latter so that no batch_size reaches numpy's size limits."""
     if batch_size <= 0 or bptt_len <= 0:
         raise ConfigError(
             f"batch_size and bptt_len must be positive, got {batch_size}, {bptt_len}"
         )
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = integer_ids(ids, "batchify: token id")
     if ids.ndim != 1:
         raise ConfigError(f"token ids must be 1-d, got shape {ids.shape}")
     steps = ids.size // batch_size

@@ -5,6 +5,7 @@ the one command, written and --quick, on canned runs."""
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -188,6 +189,19 @@ def test_layers_quick_prints_the_section_and_writes_no_file(canned_runs, capsys)
     assert set(layers["shapes"]["tiny"]["layers"]) == set(LAYERS)  # keys sorted
     assert layers["repeats"] == bench.LAYER_REPEATS
     assert "openblas" in layers["machine"] and "openblas_threads" in layers["machine"]
+
+
+def test_git_failure_exits_before_any_run(canned_runs, monkeypatch, capsys):
+    def fail(root, *args):
+        raise subprocess.CalledProcessError(128, ["git", "-C", root, *args])
+
+    runs = []
+    monkeypatch.setattr(bench.checkout, "git", fail)
+    monkeypatch.setattr(bench, "run_perfbench", lambda *args: runs.append(args))
+    assert bench.main(["--quick"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and runs == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("flag", ["--tier1", "--layers"])

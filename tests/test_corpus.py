@@ -192,6 +192,23 @@ class TestBatchify:
         with pytest.raises(ConfigError, match="one window"):
             batchify(np.arange(10), batch_size, 4)
 
+    @pytest.mark.parametrize("ids", [np.arange(40) + 0.9, np.arange(40) % 2 == 0],
+                             ids=["float", "bool"])
+    def test_non_integer_ids_rejected_before_the_layout(self, ids):
+        with pytest.raises(IndexError, match=f"token id dtype {ids.dtype} is not an integer"):
+            batchify(ids, 2, 3)
+
+    def test_uint8_ids_lay_out_as_int64(self):
+        bs = batchify(np.arange(40, dtype=np.uint8), 2, 3)
+        assert bs.data.dtype == np.int64
+        np.testing.assert_array_equal(bs.data, batchify(np.arange(40), 2, 3).data)
+        np.testing.assert_array_equal(bs.data[:3].T, [[0, 1, 2], [20, 21, 22]])
+
+    def test_empty_list_reaches_the_window_rule(self):
+        # numpy makes [] float64; empty ids of any dtype pass the dtype rule
+        with pytest.raises(ConfigError, match="one window"):
+            batchify([], 2, 3)
+
     def test_rewind_on_reiteration(self):
         bs = batchify(np.arange(20), 2, 3)
         first = [x.copy() for x, _ in bs.windows()]

@@ -2,7 +2,9 @@
 
 Every non-dunder function, method, class and module-level ``NAME = ...``
 defined in src/advlm must be named somewhere in src/advlm or perfbench
-outside its own definition. Names are matched, not resolved: an identifier
+outside its own definition; one defined in tools must be named somewhere in
+src/advlm, perfbench or tools outside its own definition (tools' references
+do not count for src/advlm). Names are matched, not resolved: an identifier
 read, an attribute, an imported name or a string that is a dotted name
 (perfbench looks functions up by string) all count, so a method shares its
 name with any other use of that name. A store to a name is no reference.
@@ -22,8 +24,8 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "advlm"
-SEARCHED = (PACKAGE, ROOT / "perfbench")
-CALLERS = (PACKAGE, ROOT / "perfbench", ROOT / "tools")
+TOOLS = ROOT / "tools"
+CALLERS = (PACKAGE, ROOT / "perfbench", TOOLS)
 # The tests drive the CLI through main(argv).
 KNOB_EXEMPT = {("main", "argv")}
 
@@ -63,15 +65,21 @@ def _names(tree):
     return defs, refs
 
 
-def unreferenced_names():
+def _tree_names(root):
+    """(non-dunder definitions, references) of every module under root."""
     defined, referenced = set(), set()
-    for root in SEARCHED:
-        for path in sorted(root.rglob("*.py")):
-            defs, refs = _names(ast.parse(path.read_text(encoding="utf-8")))
-            referenced |= refs
-            if root == PACKAGE:
-                defined.update(n for n in defs if not _is_dunder(n))
-    return sorted(defined - referenced)
+    for path in sorted(root.rglob("*.py")):
+        defs, refs = _names(ast.parse(path.read_text(encoding="utf-8")))
+        defined.update(n for n in defs if not _is_dunder(n))
+        referenced |= refs
+    return defined, referenced
+
+
+def unreferenced_names():
+    package, package_refs = _tree_names(PACKAGE)
+    tools, tools_refs = _tree_names(TOOLS)
+    referenced = package_refs | _tree_names(ROOT / "perfbench")[1]
+    return sorted((package - referenced) | (tools - referenced - tools_refs))
 
 
 def test_every_definition_has_a_caller():

@@ -5,13 +5,14 @@
 
 For each workload BENCHMARK.json declares and each of seeds 1-3 it runs
 ``perfbench/run.py --trace 0`` and ``--trace 1`` for the declared
-run_seconds and reads the JSON line each prints last. If any run is not
-correct or has a failed operation, nothing is written and the exit code is
-1. The file holds, per workload, the median, IQR and raw values of setup_s,
-op_s and peak_rss_mb, the medians of the printed figures (tokens/s,
-analyze_s, ab_wall_s) and of the per-layer metrics; the wall time of the
-Tier-1 test command ("tier1"); the machine line and git revision; and the
-change of every median against BENCH_<n-1>.json when that file exists.
+run_seconds and reads the JSON line each prints last. If git gives no
+revision (tools/checkout.py), or any run is not correct or has a failed
+operation, nothing is written and the exit code is 1. The file holds, per
+workload, the median, IQR and raw values of setup_s, op_s and peak_rss_mb,
+the medians of the printed figures (tokens/s, analyze_s, ab_wall_s) and of
+the per-layer metrics; the wall time of the Tier-1 test command ("tier1");
+the machine line and git revision; and the change of every median against
+BENCH_<n-1>.json when that file exists.
 
 It also holds a "layers" section: each layer of the model called on its own
 on seeded synthetic inputs, at desk's shape and at a softmax-bound V=10k
@@ -28,11 +29,7 @@ numbers stand, but a comparison resting on it is suspect. Nothing here
 changes a machine setting.
 """
 
-from __future__ import annotations
-
 import argparse
-import glob
-import importlib.util
 import json
 import os
 import re
@@ -45,8 +42,9 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tools")]
 
+import checkout  # noqa: E402
 from advlm import analysis, corpus, experiment, train  # noqa: E402
 from advlm import autodiff as ad  # noqa: E402
 from advlm.advsoft import AdvConfig, adv_nll_loss, epsilons  # noqa: E402
@@ -236,18 +234,11 @@ def time_layers(shape: dict, repeats: int) -> dict:
     return out
 
 
-def _load(name: str, path: str):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def machine_line() -> dict:
     """perfbench's machine record, BLAS build and thread count included, of
     this process."""
-    run = _load("perfbench_run", RUN)
-    program = _load("perfbench_program", os.path.join(ROOT, "perfbench", "program.py"))
+    run = checkout.load("perfbench_run", RUN)
+    program = checkout.load("perfbench_program", os.path.join(ROOT, "perfbench", "program.py"))
     return run.machine(program.openblas_threads())
 
 
@@ -267,19 +258,11 @@ def layers_section() -> dict:
 
 def bench_paths(directory: str) -> tuple[str, str | None]:
     """(path of the next BENCH file, path of the latest one or None)."""
-    taken = []
-    for p in glob.glob(os.path.join(directory, "BENCH_*.json")):
-        m = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(p))
-        if m:
-            taken.append(int(m.group(1)))
+    taken = [int(m.group(1)) for p in os.listdir(directory)
+             if (m := re.fullmatch(r"BENCH_(\d+)\.json", p))]
     n = max(taken, default=0)
     prev = os.path.join(directory, f"BENCH_{n}.json") if n else None
     return os.path.join(directory, f"BENCH_{n + 1}.json"), prev
-
-
-def git(*args) -> str:
-    done = subprocess.run(["git", "-C", ROOT, *args], capture_output=True, text=True)
-    return done.stdout.strip()
 
 
 def busy_cpu_s(stat_text: str, ticks_per_s: int) -> float:
@@ -334,11 +317,9 @@ def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 
 def time_tier1() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
-                                                    env.get("PYTHONPATH")) if p)
     t0 = time.monotonic()
-    done = subprocess.run(TIER1, capture_output=True, text=True, cwd=ROOT, env=env)
+    done = subprocess.run(TIER1, capture_output=True, text=True, cwd=ROOT,
+                          env=checkout.child_env(ROOT))
     wall = time.monotonic() - t0
     tail = done.stdout.strip().splitlines()
     return {"command": " ".join(["PYTHONPATH=src python", *TIER1[1:]]),
@@ -354,9 +335,12 @@ def main(argv=None) -> int:
     seconds = 5.0 if args.quick else DECLARED["run_seconds"]
     traces = (0,) if args.quick else (0, 1)
 
-    bench = {"revision": git("rev-parse", "HEAD"),
-             "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-             "seeds": list(range(1, seeds + 1)),
+    try:
+        head, dirty = checkout.revision(ROOT)
+    except (OSError, subprocess.CalledProcessError) as e:
+        print(f"error: no git revision for {ROOT}: {e}", file=sys.stderr)
+        return 1
+    bench = {"revision": head, "dirty": dirty, "seeds": list(range(1, seeds + 1)),
              "seconds": seconds, "note": NOTE, "workloads": {}, "busy_runs": []}
     for workload in (w["name"] for w in DECLARED["workloads"]):
         runs = {t: [] for t in traces}

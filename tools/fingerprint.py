@@ -23,26 +23,21 @@ The entries, all on the perfbench inputs of seed 4242:
 
 Each workload runs once through ``perfbench/program.py`` in its own process,
 as perfbench/run.py runs it; verify, cli_train and cli_eval run the
-checkout's CLI.
-Nothing here is timed. The inputs are generated once, by this checkout's
-perfbench/inputs.py, and both sides of a comparison read the same files;
-the corpora entry is what shows a change to the generator itself.
-The JSON also holds each side's revision and the machine line of
-perfbench/run.py (BLAS build and thread count). Digests depend on both, so a
-digest file is a record, never a gate.
+checkout's CLI. Nothing here is timed. The inputs are generated once, by
+this checkout's perfbench/inputs.py, and both sides of a comparison read the
+same files; the corpora entry is what shows a change to the generator
+itself. The JSON also holds each side's revision and the machine line of
+perfbench/run.py (BLAS build and thread count). Digests depend on both, so
+a digest file is a record, never a gate.
 
---against REV checks REV out with ``git worktree`` in a temporary directory
-and runs the same entries there, with the same environment and so the same
-OPENBLAS_NUM_THREADS. It prints equal or different per entry and, for a
-parameter set that differs, the largest absolute and relative difference.
-The exit code is 1 when an entry differs.
+--against REV runs the same entries in a worktree of REV (tools/checkout.py)
+in the same environment, so at the same OPENBLAS_NUM_THREADS, and prints
+equal or different per entry with, for parameters that differ, the largest
+absolute and relative difference. The exit code is 1 when an entry differs.
 """
-
-from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import os
 import shutil
@@ -53,7 +48,10 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tools")]
+
+import checkout  # noqa: E402
+from advlm.model import load_checkpoint  # noqa: E402
 
 SEED = 4242  # one fixed input seed, so fingerprints of any two revisions compare
 ENTRIES = ("desk", "wide_vocab", "analyze_wide", "ab_grid", "verify", "cli_train",
@@ -62,28 +60,8 @@ LM_ENTRIES = ("desk", "wide_vocab")
 MODEL_ENTRIES = LM_ENTRIES + ("cli_train",)  # each leaves <work>/<name>/model.bin
 CLI_TRAIN_FLAGS = ("--epochs", "2", "--num-layers", "2", "--hidden-dim", "48",
                    "--adv", "adaptive:0.005", "--seed", str(SEED))
-
-
-def _load(name: str, path: str):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench_run = _load("perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
-bench_inputs = _load("perfbench_inputs", os.path.join(ROOT, "perfbench", "inputs.py"))
-
-
-def git(root: str, *args: str) -> str:
-    return subprocess.run(["git", "-C", root, *args], check=True,
-                          capture_output=True, text=True).stdout.strip()
-
-
-def revision(root: str) -> str:
-    """HEAD of the checkout at root, marked +dirty when tracked files differ."""
-    dirty = git(root, "status", "--porcelain", "--untracked-files=no")
-    return git(root, "rev-parse", "HEAD") + ("+dirty" if dirty else "")
+bench_run = checkout.load("perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+bench_inputs = checkout.load("perfbench_inputs", os.path.join(ROOT, "perfbench", "inputs.py"))
 
 
 def sha256(path: str) -> str:
@@ -118,9 +96,7 @@ def make_inputs(names, directory: str) -> dict:
 def run_entry(root: str, name: str, inputs: dict, work: str):
     """(fields, result.json or None) of one entry run from the checkout at root.
     cli_eval reads what cli_train left in work."""
-    src = os.path.join(root, "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = checkout.child_env(root)
 
     def advlm(*args, cwd, check=True):
         return subprocess.run([sys.executable, "-m", "advlm.cli", *args], cwd=cwd,
@@ -130,7 +106,7 @@ def run_entry(root: str, name: str, inputs: dict, work: str):
         done = advlm("verify", "--seed", "0", cwd=root, check=False)
         return {"lines": done.stdout.splitlines(), "exit": done.returncode}, None
     if name == "corpora":
-        tool = _load("make_tiny_corpus", os.path.join(root, "tools", "make_tiny_corpus.py"))
+        tool = checkout.load("make_tiny_corpus", os.path.join(root, "tools", "make_tiny_corpus.py"))
         return {f"{workload} ({n} tokens)":
                 hashlib.sha256(tool.generate(SEED, n).encode("utf-8")).hexdigest()
                 for workload, n in (("desk", bench_inputs.DESK_TOKENS),
@@ -185,14 +161,13 @@ def fingerprint(root: str, names, inputs: dict, work: str) -> dict:
         if result is not None:
             threads = result["openblas_threads"]
     info = bench_run.machine(threads)
-    info["git"] = revision(root)  # machine() reads this checkout's
+    head, dirty = checkout.revision(root)  # machine() reads this checkout's
+    info["git"] = head + ("+dirty" if dirty else "")
     return {"seed": SEED, "machine": info, "entries": entries}
 
 
 def param_diff(path_a: str, path_b: str) -> str:
     """Largest absolute and relative difference over two checkpoints' tensors."""
-    from advlm.model import load_checkpoint
-
     a, b = load_checkpoint(path_a), load_checkpoint(path_b)
     if a.config != b.config:
         return f"configs differ: {a.config} vs {b.config}"
@@ -229,15 +204,13 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="write the JSON here (default: stdout, "
                                   "unless --against)")
     args = ap.parse_args(argv)
-    tmp = tempfile.mkdtemp(prefix="fingerprint-")
-    tree = os.path.join(tmp, "tree")
-    try:
+    with tempfile.TemporaryDirectory(prefix="fingerprint-") as tmp:
         inputs = make_inputs(ENTRIES, os.path.join(tmp, "in"))
         this = fingerprint(ROOT, ENTRIES, inputs, os.path.join(tmp, "this"))
         record, same = this, True
         if args.against:
-            git(ROOT, "worktree", "add", "--detach", tree, args.against)
-            other = fingerprint(tree, ENTRIES, inputs, os.path.join(tmp, "other"))
+            with checkout.worktree(ROOT, args.against) as tree:
+                other = fingerprint(tree, ENTRIES, inputs, os.path.join(tmp, "other"))
             record = {"this": this, "against": other}
             same = compare(this, other, os.path.join(tmp, "this"),
                            os.path.join(tmp, "other"))
@@ -248,11 +221,6 @@ def main(argv=None) -> int:
         elif not args.against:
             sys.stdout.write(text)
         return 0 if same else 1
-    finally:
-        if os.path.isdir(tree):
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", tree],
-                           capture_output=True)
-        shutil.rmtree(tmp, ignore_errors=True)
 
 
 if __name__ == "__main__":
