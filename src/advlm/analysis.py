@@ -22,6 +22,7 @@ BOUND_SLACK = 1e-12
 # Elements in one float64 temporary: nearest_neighbor_distances works in
 # square Gram tiles of isqrt(NN_BLOCK_ELEMS) = 512 on a side, and
 # _recognized_per_probe in row blocks of NN_BLOCK_ELEMS // V probe logits.
+# A quarter of the head's HEAD_BLOCK_ELEMS: those raise analyze's peak 7.5 MB at V=239.
 NN_BLOCK_ELEMS = 2 ** 18
 
 

@@ -13,6 +13,7 @@ import csv
 import inspect
 import io
 import os
+import signal
 import sys
 from dataclasses import dataclass
 
@@ -183,11 +184,18 @@ def cmd_train(args) -> int:
 
     def epoch_done(log):
         nonlocal saved
-        # both writers are atomic: an interrupted run keeps its last epoch
+        # atomic writes, and a Ctrl-C is held until both files hold this epoch
         print(log.rows[-1].as_csv(), flush=True)
-        save_checkpoint(params, os.path.join(cfg["out"], "model.bin"))
-        log.save(os.path.join(cfg["out"], "log.csv"))
-        saved = len(log.rows)
+        held = []
+        previous = signal.signal(signal.SIGINT, lambda *_: held.append(True))
+        try:
+            save_checkpoint(params, os.path.join(cfg["out"], "model.bin"))
+            log.save(os.path.join(cfg["out"], "log.csv"))
+            saved = len(log.rows)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        if held:
+            raise KeyboardInterrupt
 
     try:
         train(params, train_stream, valid_stream, tr_cfg, progress=epoch_done)

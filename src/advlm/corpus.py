@@ -6,6 +6,7 @@ per line; no lowercasing or other normalization.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from collections import Counter
 
@@ -20,12 +21,26 @@ UNK_ID = 0
 VALID_FRACTION = 0.1
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write UTF-8 text to a sibling .tmp file, then rename it over path."""
+@contextlib.contextmanager
+def replacing(path: str):
+    """The one file writer: yield a binary file on a sibling .tmp, then rename
+    it over path. If anything raises first, the .tmp is removed and path keeps
+    its previous contents."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Write text to path as UTF-8 through replacing()."""
+    with replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def text_lines(path: str, what: str, error):

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .corpus import replacing
 from .errors import CheckpointError, ConfigError, ShapeError
 
 CHECKPOINT_MAGIC = b"ADVLM001"
@@ -171,15 +172,13 @@ def _read_tensor(fh, name: str, shape: tuple) -> np.ndarray:
 def save_checkpoint(params: LMParams, path: str) -> None:
     """Binary format: magic, LMConfig's fields as CONFIG_HEADER, then each
     tensor from tensors() as (rank, dims, float64 data), all little-endian.
-    Written atomically."""
-    tmp = path + ".tmp"
+    Written tensor by tensor through corpus.replacing."""
     try:
-        with open(tmp, "wb") as fh:
+        with replacing(path) as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(CONFIG_HEADER.pack(*astuple(params.config)))
             for t in params.tensors():
                 _write_tensor(fh, t.values)
-        os.replace(tmp, path)
     except OSError as e:
         raise CheckpointError(f"cannot write checkpoint {path}: {e}")
 

@@ -18,7 +18,6 @@ from . import autodiff as ad
 from .advsoft import (AdvConfig, _prob_of_row, adv_nll_loss, advsoft_prob,
                       brute_force_advsoft, epsilons)
 from .analysis import (
-    BOUND_SLACK,
     _recognized_per_probe,
     _sigmoid,
     check_energy_bound,
@@ -303,7 +302,7 @@ def verify_energy_bound(seed: int, instances: int) -> SuiteResult:
         h = rng.normal(size=d)
         eps = float(rng.uniform(0.0, 1.0))
         i = int(rng.integers(V))
-        p = advsoft_prob(i, W, h, eps)
+        p, bound, held = check_energy_bound(i, W, h, eps)
         psi = energy_psi(i, W, h, eps)
         gap = abs(p - _sigmoid(psi))
         worst_eq = max(worst_eq, gap)
@@ -314,8 +313,7 @@ def verify_energy_bound(seed: int, instances: int) -> SuiteResult:
         if psi > phi + 1e-12:
             return SuiteResult("energy-bound", False,
                                f"psi exceeds phi by {psi - phi:.3g}")
-        bound = _sigmoid(phi)
-        if not p <= bound + BOUND_SLACK:  # a NaN p fails too
+        if not held:  # a NaN p fails too
             return SuiteResult("energy-bound", False,
                                f"advsoft {p:.6g} exceeds bound {bound:.6g}")
     # tightness: zero context, and the anti-collinear pair

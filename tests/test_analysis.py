@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +25,8 @@ from advlm.analysis import (
 from advlm.corpus import batchify
 from advlm.errors import NumericError, ShapeError
 from advlm.model import LMConfig, forward, init_params, zero_state
+
+from support import peak_bytes
 
 
 def _row_scan(W):
@@ -153,12 +154,7 @@ class TestNearestNeighbor:
         for V in (3000, 1300):
             W = np.random.default_rng(12).normal(size=(V, 8))
             block_elems = (NN_BLOCK_ELEMS // V) * V
-            tracemalloc.start()  # numpy reports its buffers to tracemalloc
-            try:
-                got = nearest_neighbor_distances(W)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            got, peak = peak_bytes(lambda: nearest_neighbor_distances(W))
             assert peak < 14 * block_elems
             np.testing.assert_array_equal(got, _row_scan(W))
 
@@ -271,12 +267,7 @@ class TestRecognizable:
         rng = np.random.default_rng(9)
         W, H = rng.normal(size=(V, d)), rng.normal(size=(n, d))
         eps_vec = np.full(V, 0.1)
-        tracemalloc.start()  # numpy reports its buffers to tracemalloc
-        try:
-            got = _recognized_per_probe(W, H, eps_vec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = peak_bytes(lambda: _recognized_per_probe(W, H, eps_vec))
         assert peak < n * V * 8 / 4
         np.testing.assert_array_equal(got, _sorted_winners(W, H, eps_vec))
 

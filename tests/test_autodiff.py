@@ -2,7 +2,6 @@
 
 import gc
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,6 +12,7 @@ from advlm.errors import ShapeError
 from advlm.verify import fd_check, head_grads, numerical_grad, rel_error
 
 from reference import hand_lstm_step, logsumexp_rows, lstm_window_ops
+from support import peak_bytes
 
 OP_TOL = 1e-4
 
@@ -397,15 +397,6 @@ class TestLstmLayer:
         for got, want in [(hs.values, hs_ref), (h_last, h_ref), (c_last, c_ref)]:
             assert np.array_equal(got, want)
 
-    @staticmethod
-    def _peak_bytes(fn):
-        tracemalloc.start()  # numpy reports its buffers to tracemalloc
-        try:
-            out = fn()
-            return out, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_untaped_peak_memory_keeps_no_gate_history(self):
         # the n x 4H input projection, which the gates overwrite step by
         # step, plus the h and c histories the op returns from; no tanh(c)
@@ -413,7 +404,7 @@ class TestLstmLayer:
         L, B, H = 32, 32, 200
         n = L * B
         args = _lstm_args(np.random.default_rng(11), L, B, H, H)
-        (hs, _, _), peak = self._peak_bytes(lambda: ad.lstm_layer(*args))
+        (hs, _, _), peak = peak_bytes(lambda: ad.lstm_layer(*args))
         assert hs.shape == (n, H)
         assert peak < 2 * n * 4 * H * 8
 
@@ -430,10 +421,10 @@ class TestLstmLayer:
                 ad.lstm_layer(*args)
             return tape
 
-        tape, peak_forward = self._peak_bytes(forward)
+        tape, peak_forward = peak_bytes(forward)
         [(out, _, backward_fn)] = tape.records
         g = np.ones(out.shape)
-        grads, peak_backward = self._peak_bytes(lambda: backward_fn(g))
+        grads, peak_backward = peak_bytes(lambda: backward_fn(g))
         assert [gr.shape for gr in grads] == [t.shape for t in args[:4]]
         assert peak_forward < 2.5 * n * 4 * H * 8
         assert peak_backward < 2 * n * 4 * H * 8
@@ -595,14 +586,13 @@ class TestNllRows:
         h = ad.Tensor(rng.normal(size=(n, d)))
         w = ad.Tensor(rng.normal(size=(V, d)))
         y, shift = rng.integers(0, V, size=n), rng.uniform(0, 1, n)
-        tracemalloc.start()  # numpy reports its buffers to tracemalloc
-        try:
+
+        def head():
             with ad.Tape() as tape:
                 loss = ad.nll_rows(h, w, y, shift)[0]
             tape.backward(loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = peak_bytes(head)
         assert w.grad is not None
         assert peak < n * V * 8 / 4
 

@@ -2,17 +2,14 @@
 results (no benchmark runs here), the per-layer timings at a tiny shape, and
 the one command, written and --quick, on canned runs."""
 
-import importlib.util
 import json
-import pathlib
 import subprocess
 
 import pytest
 
-_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench.py"
-_spec = importlib.util.spec_from_file_location("bench", _PATH)
-bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench)
+from support import ROOT, load
+
+bench = load("tools/bench.py")
 
 
 def _result(setup, op, rss, figures=None, layers=None):
@@ -179,9 +176,9 @@ def test_one_command_writes_tier1_layers_and_change(canned_runs, monkeypatch, tm
 
 
 def test_layers_quick_prints_the_section_and_writes_no_file(canned_runs, capsys):
-    files = sorted(p.name for p in _PATH.parent.parent.glob("BENCH_*"))
+    files = sorted(p.name for p in ROOT.glob("BENCH_*"))
     assert bench.main(["--quick"]) == 0
-    assert sorted(p.name for p in _PATH.parent.parent.glob("BENCH_*")) == files
+    assert sorted(p.name for p in ROOT.glob("BENCH_*")) == files
     record = json.loads(capsys.readouterr().out)
     assert "tier1" not in record and canned_runs == []
     assert record["seeds"] == [1] and record["seconds"] == 5.0

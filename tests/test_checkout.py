@@ -1,16 +1,12 @@
 """tools/checkout.py on a throwaway git repository: the revision and its dirty
 flag, a worktree of an older commit, its removal, and the child environment."""
 
-import importlib.util
 import os
 import pathlib
 
 import pytest
 
-_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "checkout.py"
-_spec = importlib.util.spec_from_file_location("checkout", _PATH)
-checkout = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(checkout)
+from support import checkout
 
 
 def _commit(root, text):

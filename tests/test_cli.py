@@ -3,7 +3,9 @@
 import csv
 import json
 import math
+import os
 import re
+import signal
 import struct
 import warnings
 from dataclasses import replace
@@ -434,6 +436,28 @@ class TestTrainCommand:
                    str(corpus), "--batch-size", "2", "--bptt-len", "4"])
         assert rc == 130
         assert capsys.readouterr().err == "error: interrupted\n"
+
+    def test_ctrl_c_during_the_epoch_writes_leaves_both_files_at_one_epoch(
+            self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "c.txt"
+        make_corpus(corpus, num_lines=20)
+        out = tmp_path / "o"
+        saves = []
+
+        def save_then_interrupt(params, path):
+            save_checkpoint(params, path)
+            saves.append((out / "model.bin").read_bytes())
+            if len(saves) == 2:  # before log.csv is written for epoch 1
+                os.kill(os.getpid(), signal.SIGINT)
+
+        monkeypatch.setattr("advlm.cli.save_checkpoint", save_then_interrupt)
+        rc = main(["train", "--corpus", str(corpus), "--out", str(out),
+                   "--epochs", "4"] + TRAIN_FLAGS)
+        assert rc == 130
+        rows = TrainLog.load(str(out / "log.csv")).rows
+        assert (out / "model.bin").read_bytes() == saves[len(rows) - 1]
+        assert (capsys.readouterr().err
+                == f"error: interrupted; {len(rows)} of 4 epochs saved in {out}\n")
 
     def test_per_epoch_writes_leave_the_final_files(self, tmp_path):
         # model.bin and log.csv are rewritten after every epoch; the last

@@ -1,7 +1,5 @@
 """Vocabulary and batching tests."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,8 @@ from advlm.corpus import (
 )
 from advlm.errors import ConfigError, CorpusError
 from advlm.experiment import bundled_corpus_path
+
+from support import peak_bytes
 
 
 def _tokens_from(text):
@@ -104,12 +104,7 @@ class TestReadTokens:
         # 238 types): about 53 bytes per token with a string per token,
         # about 9.5 with one per type (8-byte pointers, list slack, 238 strings)
         path = bundled_corpus_path()
-        tracemalloc.start()
-        try:
-            n = len(read_tokens(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        n, peak = peak_bytes(lambda: len(read_tokens(path)))
         assert peak / n < 20.0
 
 

@@ -1,15 +1,11 @@
-"""tools/fingerprint.py: one entry is the same twice at one revision."""
-
-import importlib.util
-import pathlib
+"""tools/fingerprint.py: one entry is the same twice at one revision, and
+--against a REV that names no commit stops before any entry runs."""
 
 from advlm.model import LMConfig, init_params, save_checkpoint
 
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("fingerprint",
-                                               _ROOT / "tools" / "fingerprint.py")
-fingerprint = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(fingerprint)
+from support import ROOT, checkout, load
+
+fingerprint = load("tools/fingerprint.py")
 
 
 def test_desk_entry_repeats_at_one_revision(tmp_path):
@@ -17,7 +13,7 @@ def test_desk_entry_repeats_at_one_revision(tmp_path):
     # two runs in one environment must agree
     names = ["desk", "cli_train", "cli_eval", "corpora"]
     inputs = fingerprint.make_inputs(names, str(tmp_path / "in"))
-    a, b = (fingerprint.fingerprint(str(_ROOT), names, inputs, str(tmp_path / side))
+    a, b = (fingerprint.fingerprint(str(ROOT), names, inputs, str(tmp_path / side))
             for side in "ab")
     assert a["entries"] == b["entries"]
     desk = a["entries"]["desk"]
@@ -43,3 +39,14 @@ def test_param_diff_reports_the_largest_differences(tmp_path):
     assert fingerprint.param_diff(a, b) == \
         f"max abs diff {abs(y - x):.3g}, max rel diff {rel:.3g}"
     assert fingerprint.param_diff(a, a) == "max abs diff 0, max rel diff 0"
+
+
+def test_unknown_revision_exits_2_before_any_entry(monkeypatch, capsys):
+    worktrees = checkout.git(str(ROOT), "worktree", "list")
+    runs = []
+    monkeypatch.setattr(fingerprint, "run_entry", lambda *args: runs.append(args))
+    assert fingerprint.main(["--against", "no-such-rev"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and runs == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert checkout.git(str(ROOT), "worktree", "list") == worktrees

@@ -1,13 +1,13 @@
 """LSTM language model tests: gate oracle, tying, BPTT window boundaries, checkpoints."""
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import advlm.model
 from advlm.advsoft import AdvConfig, adv_nll_loss
 from advlm.autodiff import Tape
 from advlm.corpus import batchify
@@ -25,6 +25,7 @@ from advlm.verify import numerical_grad, rel_error
 
 from reference import hand_lstm_step as _hand_lstm_step
 from reference import mle_loss_value as _mle_loss_value
+from support import peak_bytes
 
 
 def _mle_loss_taped(params, input_ids, targets):
@@ -336,6 +337,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="cannot write checkpoint"):
             save_checkpoint(params, str(tmp_path / "absent" / "model.bin"))
 
+    def test_failed_write_keeps_the_previous_file_and_no_tmp(self, tmp_path,
+                                                            monkeypatch):
+        p = tmp_path / "model.bin"
+        save_checkpoint(init_params(LMConfig(vocab_size=5, embed_dim=3), 1), str(p))
+        before = p.read_bytes()
+        real_write, written = advlm.model._write_tensor, []
+
+        def fail_after_the_first(fh, arr):
+            if written:
+                raise OSError(28, "No space left on device")
+            real_write(fh, arr)
+            written.append(arr)
+
+        monkeypatch.setattr(advlm.model, "_write_tensor", fail_after_the_first)
+        with pytest.raises(CheckpointError, match="No space left"):
+            save_checkpoint(init_params(LMConfig(vocab_size=5, embed_dim=3), 2), str(p))
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.bin"]
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
@@ -370,12 +390,7 @@ class TestCheckpoint:
         # would push the peak near twice what the parameters hold
         p = tmp_path / "model.bin"
         save_checkpoint(init_params(LMConfig(vocab_size=2000, embed_dim=32), 0), str(p))
-        tracemalloc.start()  # numpy reports its buffers to tracemalloc
-        try:
-            params = load_checkpoint(str(p))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        params, peak = peak_bytes(lambda: load_checkpoint(str(p)))
         held = sum(t.values.nbytes for t in params.tensors())
         assert peak < 1.2 * held
 

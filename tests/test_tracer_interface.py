@@ -2,9 +2,6 @@
 outside the program; a training window must still run under its wrappers
 and give the counts the benchmark reports."""
 
-import importlib.util
-import pathlib
-
 import numpy as np
 import pytest
 
@@ -15,10 +12,9 @@ from advlm.corpus import batchify
 from advlm.model import LMConfig, forward, init_params, zero_state
 from advlm.train import TrainConfig
 
-_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-_spec = importlib.util.spec_from_file_location("tracing", _PATH)
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+from support import load
+
+tracing = load("perfbench/tracing.py")
 
 
 def test_traced_training_counts_one_record_per_model_op():

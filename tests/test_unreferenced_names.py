@@ -20,9 +20,9 @@ counts as a call ``C()``.
 """
 
 import ast
-import pathlib
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from support import ROOT
+
 PACKAGE = ROOT / "src" / "advlm"
 TOOLS = ROOT / "tools"
 CALLERS = (PACKAGE, ROOT / "perfbench", TOOLS)

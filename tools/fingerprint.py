@@ -33,7 +33,8 @@ a digest file is a record, never a gate.
 --against REV runs the same entries in a worktree of REV (tools/checkout.py)
 in the same environment, so at the same OPENBLAS_NUM_THREADS, and prints
 equal or different per entry with, for parameters that differ, the largest
-absolute and relative difference. The exit code is 1 when an entry differs.
+absolute and relative difference. The exit code is 1 when an entry differs,
+and 2, before any entry runs, when REV names no commit.
 """
 
 import argparse
@@ -204,6 +205,13 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="write the JSON here (default: stdout, "
                                   "unless --against)")
     args = ap.parse_args(argv)
+    if args.against:
+        try:  # before any entry runs
+            args.against = checkout.git(ROOT, "rev-parse", "--verify",
+                                        f"{args.against}^{{commit}}")
+        except subprocess.CalledProcessError:
+            print(f"error: {args.against} is not a commit of {ROOT}", file=sys.stderr)
+            return 2
     with tempfile.TemporaryDirectory(prefix="fingerprint-") as tmp:
         inputs = make_inputs(ENTRIES, os.path.join(tmp, "in"))
         this = fingerprint(ROOT, ENTRIES, inputs, os.path.join(tmp, "this"))
