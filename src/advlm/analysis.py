@@ -171,14 +171,12 @@ def _neg_logsumexp(terms: np.ndarray) -> float:
     return float(-(m + np.log(np.exp(terms - m).sum())))
 
 
-def energy_phi(i: int, W: np.ndarray, a: float, eps: float) -> tuple[float, float]:
-    """Distance energy Phi = -log sum_{j!=i} exp(-a(||w_i-w_j|| - eps)) and its
-    upper bound a*min_{j!=i}(||w_i-w_j|| - eps)."""
+def energy_phi(i: int, W: np.ndarray, a: float, eps: float) -> float:
+    """Distance energy Phi = -log sum_{j!=i} exp(-a(||w_i-w_j|| - eps))."""
     W = _check_word(i, W)
     d = np.linalg.norm(W - W[i], axis=1)
     d = np.delete(d, i)
-    phi = _neg_logsumexp(-a * (d - eps))
-    return phi, float(a * (d.min() - eps))
+    return _neg_logsumexp(-a * (d - eps))
 
 
 def energy_psi(i: int, W: np.ndarray, h: np.ndarray, eps: float) -> float:
@@ -201,8 +199,7 @@ def check_energy_bound(i: int, W: np.ndarray, h: np.ndarray,
                        eps: float) -> tuple[float, float, bool]:
     """Both sides of advsoft_prob <= sigmoid(Phi(i, W, ||h||))."""
     p = advsoft_prob(i, W, h, eps)
-    phi, _ = energy_phi(i, W, float(np.linalg.norm(np.asarray(h))), eps)
-    bound = _sigmoid(phi)
+    bound = _sigmoid(energy_phi(i, W, float(np.linalg.norm(np.asarray(h))), eps))
     return p, bound, p <= bound + BOUND_SLACK
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import statistics
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -57,25 +57,30 @@ class RunResult:
         return self.valid_ppl - self.train_ppl
 
     def line(self) -> str:
-        return (f"alpha={self.alpha:g} seed={self.seed}: "
-                f"train_ppl={self.train_ppl:.3f} valid_ppl={self.valid_ppl:.3f} "
-                f"gap={self.gap:.3f} nn={self.nn_distance:.4f} "
-                f"sv_entropy={self.sv_entropy:.5f} [{self.wall_s:.0f}s]")
+        return (f"alpha={self.alpha:g} seed={self.seed}: {_numbers_text(self)} "
+                f"[{self.wall_s:.0f}s]")
 
 
 @dataclass(frozen=True)
 class ArmSummary:
+    """Its fields after alpha are the A/B numbers, with label and format."""
     alpha: float
-    train_ppl: float
-    valid_ppl: float
-    gap: float
-    nn_distance: float
-    sv_entropy: float
+    train_ppl: float = field(metadata={"label": "train_ppl", "fmt": ".3f"})
+    valid_ppl: float = field(metadata={"label": "valid_ppl", "fmt": ".3f"})
+    gap: float = field(metadata={"label": "gap", "fmt": ".3f"})
+    nn_distance: float = field(metadata={"label": "nn", "fmt": ".4f"})
+    sv_entropy: float = field(metadata={"label": "sv_entropy", "fmt": ".5f"})
 
     def line(self) -> str:
-        return (f"alpha={self.alpha:g} medians: train_ppl={self.train_ppl:.3f} "
-                f"valid_ppl={self.valid_ppl:.3f} gap={self.gap:.3f} "
-                f"nn={self.nn_distance:.4f} sv_entropy={self.sv_entropy:.5f}")
+        return f"alpha={self.alpha:g} medians: {_numbers_text(self)}"
+
+
+NUMBERS = fields(ArmSummary)[1:]
+
+
+def _numbers_text(r) -> str:  # r is a RunResult or an ArmSummary
+    return " ".join(f"{f.metadata['label']}={getattr(r, f.name):{f.metadata['fmt']}}"
+                    for f in NUMBERS)
 
 
 @dataclass
@@ -90,13 +95,8 @@ class ExperimentResult:
 
     def summary(self, alpha: float) -> ArmSummary:
         arm = self.arm(alpha)
-        med = lambda f: statistics.median(f(r) for r in arm)
-        return ArmSummary(alpha,
-                          med(lambda r: r.train_ppl),
-                          med(lambda r: r.valid_ppl),
-                          med(lambda r: r.gap),
-                          med(lambda r: r.nn_distance),
-                          med(lambda r: r.sv_entropy))
+        return ArmSummary(alpha, *(statistics.median(getattr(r, f.name) for r in arm)
+                                   for f in NUMBERS))
 
     def orderings(self) -> dict[str, bool]:
         """The expected arm orderings, each as its own named check."""

@@ -309,7 +309,7 @@ def verify_energy_bound(seed: int, instances: int) -> SuiteResult:
         if gap >= 1e-12:
             return SuiteResult("energy-bound", False,
                                f"advsoft != sigmoid(psi) by {gap:.3g} >= 1e-12")
-        phi, _ = energy_phi(i, W, float(np.linalg.norm(h)), eps)
+        phi = energy_phi(i, W, float(np.linalg.norm(h)), eps)
         if psi > phi + 1e-12:
             return SuiteResult("energy-bound", False,
                                f"psi exceeds phi by {psi - phi:.3g}")

@@ -336,17 +336,21 @@ class TestSeparationTheorem:
         assert (got >= 0).any()
 
 
+def _min_distance_line(i, W, a, eps):
+    """Phi's upper bound a * min_{j!=i}(||w_i - w_j|| - eps)."""
+    return a * (min(np.linalg.norm(W[i] - w) for j, w in enumerate(W) if j != i) - eps)
+
+
 class TestEnergyPhi:
     W = np.array([[0.0, 0.0], [3.0, 0.0]])
 
     def test_hand_value(self):
-        phi, bound = energy_phi(0, self.W, 2.0, 1.0)
-        assert phi == pytest.approx(4.0, abs=1e-12)
-        assert bound == pytest.approx(4.0, abs=1e-12)
+        assert energy_phi(0, self.W, 2.0, 1.0) == pytest.approx(4.0, abs=1e-12)
+        assert _min_distance_line(0, self.W, 2.0, 1.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_zero_sharpness(self):
         W = np.random.default_rng(7).normal(size=(9, 3))
-        phi, _ = energy_phi(2, W, 0.0, 0.5)
+        phi = energy_phi(2, W, 0.0, 0.5)
         assert phi == pytest.approx(-math.log(8))
 
     def test_bounded_by_min_distance_line(self):
@@ -356,14 +360,14 @@ class TestEnergyPhi:
             W = rng.normal(size=(V, d))
             a = float(rng.uniform(0.0, 5.0))
             eps = float(rng.uniform(0.0, 1.0))
-            phi, bound = energy_phi(int(rng.integers(V)), W, a, eps)
-            assert phi <= bound + 1e-12
+            i = int(rng.integers(V))
+            assert energy_phi(i, W, a, eps) <= _min_distance_line(i, W, a, eps) + 1e-12
 
     def test_shift_stable_at_extreme_sharpness(self):
-        phi, bound = energy_phi(0, self.W, 500.0, 1.0)
+        phi = energy_phi(0, self.W, 500.0, 1.0)
         assert math.isfinite(phi)
         assert phi == pytest.approx(1000.0, rel=1e-12)
-        assert bound == pytest.approx(1000.0, rel=1e-12)
+        assert _min_distance_line(0, self.W, 500.0, 1.0) == pytest.approx(1000.0, rel=1e-12)
 
     def test_single_row_rejected(self):
         with pytest.raises(ShapeError):
@@ -396,8 +400,7 @@ class TestEnergyBoundChain:
             eps = float(rng.uniform(0.0, 1.0))
             i = int(rng.integers(V))
             psi = energy_psi(i, W, h, eps)
-            phi, _ = energy_phi(i, W, float(np.linalg.norm(h)), eps)
-            assert psi <= phi + 1e-12
+            assert psi <= energy_phi(i, W, float(np.linalg.norm(h)), eps) + 1e-12
 
     def test_bound_holds_random_sweep(self):
         rng = np.random.default_rng(11)

@@ -63,8 +63,18 @@ class TestSummaries:
 
     def test_line_formats(self):
         r = run(ADV_ALPHA, 2, 11.5, 15.25, 3.1234, 3.94)
-        assert "alpha=0.005 seed=2" in r.line()
-        assert "gap=3.750" in r.line()
+        assert r.line() == ("alpha=0.005 seed=2: train_ppl=11.500 valid_ppl=15.250 "
+                            "gap=3.750 nn=3.1234 sv_entropy=3.94000 [1s]")
+
+    def test_summary_line_formats(self):
+        result = three_by_three(
+            base=[(10.0, 15.0, 3.0, 3.9)] * 3,
+            adv=[(11.0, 15.0, 3.3, 3.95), (12.25, 14.5, 3.45678, 3.93),
+                 (13.0, 16.0, 3.5, 3.91)],
+            high=[(20.0, 18.0, 3.0, 3.9)] * 3)
+        assert result.summary(ADV_ALPHA).line() == (
+            "alpha=0.005 medians: train_ppl=12.250 valid_ppl=15.000 gap=3.000 "
+            "nn=3.4568 sv_entropy=3.93000")
 
 
 class TestOrderings:

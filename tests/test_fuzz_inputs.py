@@ -12,6 +12,8 @@ from advlm.corpus import EOS, UNK, Vocab, read_tokens
 from advlm.errors import ConfigError, CorpusError
 from advlm.train import LOG_HEADER, TrainLog
 
+from support import read_new_file
+
 STRING_KEYS = [key for key, opt in TRAIN_SCHEMA.items() if opt.parse is str]
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -64,38 +66,23 @@ def test_parse_config_returns_schema_values_or_raises_config_error(text):
 @FUZZ
 @given(blob=_file_bytes(CONFIG_TEXT))
 def test_config_file_merges_or_raises_config_error(tmp_path, blob):
-    path = tmp_path / "run.cfg"
-    path.write_bytes(blob)
-    args = cli.build_parser().parse_args(["train", "--config", str(path)])
-    try:
-        cfg = cli._merged_train_config(args)
-    except ConfigError:
-        return
-    assert set(cfg) == set(TRAIN_SCHEMA)
+    cfg = read_new_file(tmp_path, blob, lambda path: cli._merged_train_config(
+        cli.build_parser().parse_args(["train", "--config", path])), ConfigError)
+    assert cfg is None or set(cfg) == set(TRAIN_SCHEMA)
 
 
 @FUZZ
 @given(blob=_file_bytes(VOCAB_TEXT))
 def test_vocab_file_loads_or_raises_corpus_error(tmp_path, blob):
-    path = tmp_path / "vocab.tsv"
-    path.write_bytes(blob)
-    try:
-        vocab = Vocab.load(str(path))
-    except CorpusError:
-        return
-    assert vocab.id_to_token[:2] == [UNK, EOS]
+    vocab = read_new_file(tmp_path, blob, Vocab.load, CorpusError)
+    assert vocab is None or vocab.id_to_token[:2] == [UNK, EOS]
 
 
 @FUZZ
 @given(blob=_file_bytes(LOG_TEXT))
 def test_log_file_loads_or_raises_config_error(tmp_path, blob):
-    path = tmp_path / "log.csv"
-    path.write_bytes(blob)
-    try:
-        log = TrainLog.load(str(path))
-    except ConfigError:
-        return
-    assert all(len(row.as_csv().split(",")) == 6 for row in log.rows)
+    log = read_new_file(tmp_path, blob, TrainLog.load, ConfigError)
+    assert log is None or all(len(row.as_csv().split(",")) == 6 for row in log.rows)
 
 
 @FUZZ
@@ -112,11 +99,8 @@ def test_serialized_string_values_read_back_or_raise_config_error(cfg):
 @FUZZ
 @given(blob=_file_bytes(CORPUS_TEXT))
 def test_corpus_reads_to_tokens_or_raises_corpus_error(tmp_path, blob):
-    path = tmp_path / "corpus.txt"
-    path.write_bytes(blob)
-    try:
-        tokens = read_tokens(str(path))
-    except CorpusError:
+    tokens = read_new_file(tmp_path, blob, read_tokens, CorpusError)
+    if tokens is None:
         return
     assert all(tok and not any(ch.isspace() for ch in tok) for tok in tokens)
     assert not tokens or tokens[-1] == EOS

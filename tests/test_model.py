@@ -25,7 +25,7 @@ from advlm.verify import numerical_grad, rel_error
 
 from reference import hand_lstm_step as _hand_lstm_step
 from reference import mle_loss_value as _mle_loss_value
-from support import peak_bytes
+from support import peak_bytes, read_new_file
 
 
 def _mle_loss_taped(params, input_ids, targets):
@@ -394,16 +394,20 @@ class TestCheckpoint:
         held = sum(t.values.nbytes for t in params.tensors())
         assert peak < 1.2 * held
 
+    @pytest.fixture(scope="class")
+    def valid_bytes(self, tmp_path_factory):
+        p = tmp_path_factory.mktemp("checkpoint") / "model.bin"
+        cfg = LMConfig(vocab_size=5, embed_dim=3, hidden_dim=4, num_layers=2)
+        save_checkpoint(init_params(cfg, 1), str(p))
+        return p.read_bytes()
+
     @settings(derandomize=True, max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_fuzzed_bytes_load_or_raise_checkpoint_error(self, tmp_path, data):
+    def test_fuzzed_bytes_load_or_raise_checkpoint_error(self, tmp_path, valid_bytes, data):
         # truncated or extended files must fail as CheckpointError; a bit
         # flip may still load, but nothing may raise another exception
-        cfg = LMConfig(vocab_size=5, embed_dim=3, hidden_dim=4, num_layers=2)
-        p = tmp_path / "model.bin"
-        save_checkpoint(init_params(cfg, 1), str(p))
-        blob = bytearray(p.read_bytes())
+        blob = bytearray(valid_bytes)
         kind = data.draw(st.sampled_from(["truncate", "flip", "append"]))
         if kind == "truncate":
             del blob[data.draw(st.integers(0, len(blob) - 1)):]
@@ -412,12 +416,5 @@ class TestCheckpoint:
         else:
             bit = data.draw(st.integers(0, 8 * len(blob) - 1))
             blob[bit // 8] ^= 1 << (bit % 8)
-        p.write_bytes(bytes(blob))
-        if kind == "flip":
-            try:
-                load_checkpoint(str(p))
-            except CheckpointError:
-                pass
-        else:
-            with pytest.raises(CheckpointError):
-                load_checkpoint(str(p))
+        loaded = read_new_file(tmp_path, bytes(blob), load_checkpoint, CheckpointError)
+        assert kind == "flip" or loaded is None

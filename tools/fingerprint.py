@@ -52,6 +52,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tools")]
 
 import checkout  # noqa: E402
+from advlm.corpus import write_text_atomic  # noqa: E402
 from advlm.model import load_checkpoint  # noqa: E402
 
 SEED = 4242  # one fixed input seed, so fingerprints of any two revisions compare
@@ -89,8 +90,7 @@ def make_inputs(names, directory: str) -> dict:
         where = os.path.join(directory, name)
         inputs = bench_inputs.make_inputs(name, SEED, where)
         paths[name] = os.path.join(where, "inputs.json")
-        with open(paths[name], "w", encoding="utf-8") as fh:
-            json.dump(inputs, fh)
+        write_text_atomic(paths[name], json.dumps(inputs))
     return paths
 
 
@@ -224,8 +224,7 @@ def main(argv=None) -> int:
                            os.path.join(tmp, "other"))
         text = json.dumps(record, indent=1) + "\n"
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            write_text_atomic(args.out, text)
         elif not args.against:
             sys.stdout.write(text)
         return 0 if same else 1
