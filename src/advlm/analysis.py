@@ -52,7 +52,9 @@ def nearest_neighbor_distances(W: np.ndarray) -> np.ndarray:
     its columns, one entry per (column tile, row). Phase 2 rescans a (row,
     column tile) pair only when that tile's minimum, less the tile's largest
     2c_j, is not above the row's threshold (rounding is monotone), in chunks
-    of at most one tile of rows, and rechecks the survivors. Every drop test
+    of at most one tile of rows, and rechecks the survivors; a chunk with
+    more survivors than one recheck piece is indexed in row slices of at
+    most a piece (or one row), so no index array outgrows it. Every drop test
     is "x > thr", so a NaN keeps its candidate; np.min carries a NaN of row
     i's E into its threshold, and an inf square makes c inf, so such a row
     keeps every j and rechecks to the row scan's NaN or inf. Self-pairs are
@@ -105,10 +107,16 @@ def nearest_neighbor_distances(W: np.ndarray) -> np.ndarray:
             del E
             own = (rows >= jlo) & (rows < jlo + side)
             keep[own, rows[own] - jlo] = False  # self-pairs
-            i, j = np.divmod(np.flatnonzero(keep), keep.shape[1])  # 2-d nonzero is slower
-            for p in range(0, i.size, pairs):
-                ip, jp = rows[i[p:p + pairs]], j[p:p + pairs] + jlo
-                np.minimum.at(best, ip, ((W[jp] - W[ip]) ** 2).sum(axis=1))
+            # in row slices that hold at most `pairs` survivors (or one row)
+            step = (rows.size if np.count_nonzero(keep) <= pairs
+                    else max(1, pairs // keep.shape[1]))
+            for r0 in range(0, rows.size, step):
+                # 2-d nonzero is slower
+                i, j = np.divmod(np.flatnonzero(keep[r0:r0 + step]), keep.shape[1])
+                i += r0
+                for p in range(0, i.size, pairs):
+                    ip, jp = rows[i[p:p + pairs]], j[p:p + pairs] + jlo
+                    np.minimum.at(best, ip, ((W[jp] - W[ip]) ** 2).sum(axis=1))
     return np.sqrt(best)
 
 

@@ -44,6 +44,21 @@ class Tensor:
         return f"Tensor(shape={self.values.shape})"
 
 
+class RowGrad:
+    """A gradient of shape `shape` that is zero outside the distinct,
+    ascending `rows`: row rows[k] of it is values[k]."""
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape):
+        self.rows, self.values, self.shape = rows, values, shape
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows] = self.values
+        return out
+
+
 class Tape:
     """Ordered record of executed ops, replayed in reverse by backward().
 
@@ -77,7 +92,13 @@ class Tape:
 
         A tape runs backward once: ops may hand over gradients they formed
         in their forward (nll_rows does), so a second call raises
-        RuntimeError and leaves every .grad as the first call set it.
+        RuntimeError and leaves every .grad as the first call set it. Each
+        record's closure is dropped as the pass reaches it, so what it held
+        (lstm_layer's gate history) is freed before backward returns; the
+        records keep their out and inputs.
+
+        A RowGrad is added in place into the rows it covers of the adjoint
+        its input already has, or becomes a dense one if it has none yet.
         """
         if loss.values.shape != ():
             raise ShapeError(
@@ -91,16 +112,21 @@ class Tape:
         self.spent = True
         adjoint = {id(loss): np.ones((), dtype=np.float64)}
         leaves = {}
-        for out, inputs, backward_fn in reversed(self.records):
+        for k in range(len(self.records) - 1, -1, -1):
+            out, inputs, backward_fn = self.records[k]
+            self.records[k] = (out, inputs, None)  # a spent tape holds no closure
             g_out = adjoint.pop(id(out), None)
             if g_out is None:
                 continue
             for t, g in zip(inputs, backward_fn(g_out)):
                 key = id(t)
-                if key in adjoint:
-                    adjoint[key] += g  # every backward returns fresh arrays
+                if key in adjoint:  # every backward returns fresh arrays
+                    if isinstance(g, RowGrad):
+                        adjoint[key][g.rows] += g.values
+                    else:
+                        adjoint[key] += g
                 else:
-                    adjoint[key] = g
+                    adjoint[key] = g.dense() if isinstance(g, RowGrad) else g
                     if key not in outs:
                         leaves[key] = t
         for key, t in leaves.items():
@@ -146,10 +172,12 @@ def check_ids(ids, n: int, what: str) -> np.ndarray:
 
 def gather_rows(m: Tensor, ids, noise=None) -> Tensor:
     """Select rows of a matrix by index, plus the constant noise array if
-    given; backward scatter-adds into m.
+    given; backward returns m's gradient as a RowGrad over the distinct ids.
 
     Repeated ids are legal and their upstream gradients accumulate on the
-    shared row, which is what an embedding lookup needs.
+    shared row, in id order (np.add.at), which is what an embedding lookup
+    needs. The distinct rows come from a slot per row of m, which costs
+    less than np.unique's first call.
     """
     if m.values.ndim != 2:
         raise ShapeError(f"gather_rows: expected a matrix, got shape {m.values.shape}")
@@ -157,9 +185,13 @@ def gather_rows(m: Tensor, ids, noise=None) -> Tensor:
     shape = m.values.shape
 
     def _back(g):
-        gm = np.zeros(shape, dtype=np.float64)
-        np.add.at(gm, ids, g)
-        return (gm,)
+        slot = np.zeros(shape[0], dtype=np.intp)
+        slot[ids] = 1
+        rows = np.flatnonzero(slot)
+        slot[rows] = np.arange(rows.size)
+        part = np.zeros((rows.size, shape[1]))
+        np.add.at(part, slot[ids], g)
+        return (RowGrad(rows, part, shape),)
 
     values = m.values[ids]
     if noise is not None:
@@ -322,8 +354,9 @@ def nll_rows(h: Tensor, w: Tensor, targets, shift):
             np.matmul(z, wv, out=dh[blk])
             if dw is None:
                 dw = z.T @ hb
-            else:
-                dw += z.T @ hb
+            else:  # in word-row chunks: no second V x d array
+                for v in range(0, V, step):
+                    dw[v:v + step] += z[:, v:v + step].T @ hb
 
     def _back(g):
         if g != 1.0:

@@ -158,6 +158,21 @@ class TestNearestNeighbor:
             assert peak < 14 * block_elems
             np.testing.assert_array_equal(got, _row_scan(W))
 
+    def test_identical_rows_hold_one_recheck_piece(self):
+        # every pair survives the filter, so phase 2 walks its survivors in
+        # row slices of at most one recheck piece: the peak is that piece's
+        # differences, under three tiles of float64, where the index arrays
+        # of a whole 512-row chunk went above (10.9 MB at d=8)
+        for d in (8, 200):
+            W = np.ones((1300, d))
+            got, peak = peak_bytes(lambda: nearest_neighbor_distances(W))
+            assert peak < 3 * NN_BLOCK_ELEMS * 8
+            np.testing.assert_array_equal(got, np.zeros(1300))
+        # every other row one and the same: slices with and without survivors
+        W = np.random.default_rng(13).normal(size=(1300, 8))
+        W[::2] = W[0]
+        np.testing.assert_array_equal(nearest_neighbor_distances(W), _row_scan(W))
+
     def test_single_row_rejected(self):
         with pytest.raises(ShapeError):
             nearest_neighbor_distances(np.ones((1, 3)))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import advlm.autodiff as ad
+from advlm.advsoft import AdvConfig, epsilons
 from advlm.errors import ShapeError
 from advlm.verify import fd_check, head_grads, numerical_grad, rel_error
 
@@ -165,6 +166,59 @@ class TestGatherRows:
         with pytest.raises(IndexError, match="7"):
             ad.gather_rows(ad.Tensor(np.zeros((4, 3))), [0, 7])
 
+    IDS = pytest.mark.parametrize("ids", [[3, 1, 1, 0, 3, 3], [4, 0, 2, 1, 3], [2]],
+                                  ids=["repeated", "every-row", "single"])
+
+    @IDS
+    def test_row_sparse_gradient_is_add_at_on_zeros(self, ids):
+        # no adjoint exists yet: backward builds the dense one from the
+        # RowGrad, np.add.at's on zeros bit for bit
+        rng = np.random.default_rng(15)
+        m = ad.Tensor(rng.normal(size=(5, 3)))
+        g = rng.normal(size=(len(ids), 3))
+        with ad.Tape() as tape:
+            loss = ad.weighted_sum(ad.gather_rows(m, ids), g)
+        [(_, _, backward_fn), _] = tape.records
+        part = backward_fn(g)[0]
+        np.testing.assert_array_equal(part.rows, sorted(set(ids)))
+        assert part.values.shape == (len(set(ids)), 3)
+        tape.backward(loss)
+        want = np.zeros((5, 3))
+        np.add.at(want, ids, g)
+        assert m.grad.tobytes() == want.tobytes()
+
+    @IDS
+    def test_row_sparse_gradient_adds_into_an_existing_adjoint(self, ids):
+        # tied: the head's dense dw is the adjoint the looked-up rows are
+        # added into, so w.grad is dw + np.add.at(zeros, ids, dh) bit for
+        # bit, with dh and dw the head's gradients for h as a leaf of its own
+        rng = np.random.default_rng(16)
+        w = ad.Tensor(rng.normal(size=(5, 3)))
+        y, shift = rng.integers(0, 5, size=len(ids)), rng.uniform(0, 1, len(ids))
+        with ad.Tape() as tape:
+            loss = ad.nll_rows(ad.gather_rows(w, ids), w, y, shift)[0]
+        tape.backward(loss)
+        h, w_alone = ad.Tensor(w.values[ids]), ad.Tensor(w.values.copy())
+        with ad.Tape() as tape:
+            loss = ad.nll_rows(h, w_alone, y, shift)[0]
+        tape.backward(loss)
+        scattered = np.zeros((5, 3))
+        np.add.at(scattered, ids, h.grad)
+        assert w.grad.tobytes() == (w_alone.grad + scattered).tobytes()
+
+    @pytest.mark.parametrize("adv", [AdvConfig(), AdvConfig("fixed", 0.7),
+                                     AdvConfig("adaptive", 0.3)],
+                             ids=["off", "fixed", "adaptive"])
+    def test_tied_gradient_vs_finite_differences(self, adv):
+        # the lookup and the head read one matrix, as the model's embedding;
+        # the head's shift is a constant, fixed from the start values
+        rng = np.random.default_rng(17)
+        w = ad.Tensor(rng.uniform(-2, 2, (5, 3)))
+        ids, y = [3, 1, 1, 0], rng.integers(0, 5, size=4)
+        shift = epsilons(adv, w.values[y]) * np.linalg.norm(w.values[ids], axis=1)
+        assert fd_check(lambda: ad.nll_rows(ad.gather_rows(w, ids), w, y, shift)[0],
+                        [w], rng) < OP_TOL
+
     def test_float_ids_rejected(self):
         m = ad.Tensor(np.arange(12.0).reshape(4, 3))
         with pytest.raises(IndexError, match="gather_rows: id dtype float64"):
@@ -251,6 +305,59 @@ class TestBackward:
         with pytest.raises(RuntimeError, match="once"):
             tape.backward(loss)
         np.testing.assert_array_equal(m.grad, [[0.0, 0.0], [1.0, 2.0]])
+
+    def test_spent_tape_holds_no_closure(self):
+        # backward drops each record's closure once it has run, so the
+        # LSTM's gate history is freed by reference counting before backward
+        # returns; the records keep out and inputs, and a second call is
+        # still refused with every .grad as the first one set it
+        rng = np.random.default_rng(18)
+        _, w_x, w_h, bias, h0, c0 = _lstm_args(rng, 2, 2, 4, 4)
+        w = ad.Tensor(rng.uniform(-1, 1, (5, 4)))
+        gc.disable()
+        try:
+            with ad.Tape() as tape:
+                x = ad.gather_rows(w, [0, 4, 4, 1])
+                hs = ad.lstm_layer(x, w_x, w_h, bias, h0, c0)[0]
+                loss = _head(hs, w, [1, 2, 3, 4])[0]
+            lstm_back = weakref.ref(tape.records[1][2])
+            tape.backward(loss)
+            assert lstm_back() is None
+        finally:
+            gc.enable()
+        assert [fn for _, _, fn in tape.records] == [None] * 3
+        assert [out for out, _, _ in tape.records] == [x, hs, loss]
+        assert [inputs for _, inputs, _ in tape.records] == [
+            (w,), (x, w_x, w_h, bias), (hs, w)]
+        grads = [t.grad.copy() for t in (w, w_x, w_h, bias)]
+        with pytest.raises(RuntimeError, match="once"):
+            tape.backward(loss)
+        for t, g in zip((w, w_x, w_h, bias), grads, strict=True):
+            assert t.grad.tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("block_rows", [None, 4])
+    def test_window_holds_one_embedding_gradient(self, monkeypatch, block_rows):
+        # where V x d dominates, a taped window (lookup, LSTM, tied head,
+        # backward) holds one V x d array beyond the parameters: the head's
+        # dw, which later row blocks add into in word-row chunks and the
+        # lookup's rows are added into in place
+        V, d, B, L = 4096, 64, 4, 4
+        if block_rows:
+            monkeypatch.setattr(ad, "HEAD_BLOCK_ELEMS", block_rows * V)
+        rng = np.random.default_rng(19)
+        _, w_x, w_h, bias, h0, c0 = _lstm_args(rng, L, B, d, d)
+        w = ad.Tensor(rng.uniform(-0.5, 0.5, (V, d)))
+        ids, y = rng.integers(0, V, size=(2, L * B))
+
+        def window():
+            with ad.Tape() as tape:
+                hs = ad.lstm_layer(ad.gather_rows(w, ids), w_x, w_h, bias, h0, c0)[0]
+                loss = _head(hs, w, y)[0]
+            tape.backward(loss)
+
+        _, peak = peak_bytes(window)
+        assert w.grad.shape == (V, d)
+        assert peak < 1.5 * V * d * 8
 
     def test_backward_replaces_a_stale_grad(self):
         # backward sets .grad: what a leaf held before is not added to
@@ -539,6 +646,21 @@ class TestNllRows:
             tape.backward(loss)
         np.testing.assert_array_equal(h.grad, grads[0])
         np.testing.assert_array_equal(w.grad, grads[1])
+
+    @pytest.mark.parametrize("block_rows", [None, 2])
+    def test_dw_holds_no_negative_zero(self, monkeypatch, block_rows):
+        # with -0.0 contexts every product in an untargeted word's row of dw
+        # is -0.0, and BLAS sums from +0.0; so a row that the lookup's
+        # RowGrad leaves untouched holds +0.0, which adding the +0.0 of a
+        # dense scatter would not change
+        if block_rows:
+            monkeypatch.setattr(ad, "HEAD_BLOCK_ELEMS", block_rows * 5)
+        h = ad.Tensor(np.full((6, 3), -0.0))
+        w = ad.Tensor(np.random.default_rng(20).normal(size=(5, 3)))
+        with ad.Tape() as tape:
+            loss = ad.nll_rows(h, w, [0, 1, 0, 1, 0, 1], np.zeros(6))[0]
+        tape.backward(loss)
+        assert not w.grad[2:].any() and not np.signbit(w.grad).any()
 
     @staticmethod
     def _grads(h, w, y, shift):

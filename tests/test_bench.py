@@ -125,6 +125,7 @@ LAYERS = ("corpus.read_tokens", "gather_rows.forward", "gather_rows.backward",
           "analysis.singular_values", "analysis.nearest_neighbor_distances",
           "analysis._recognized_per_probe")
 TINY = {"V": 12, "d": 4, "B": 2, "L": 3}
+PEAK = "train_window.peak_mb"  # beside the timed layers, at each shape
 
 
 def test_time_layers_times_every_layer_at_a_tiny_shape():
@@ -132,6 +133,13 @@ def test_time_layers_times_every_layer_at_a_tiny_shape():
     assert tuple(got) == LAYERS
     for name, s in got.items():
         assert len(s["values"]) == 3 and s["median"] > 0, name
+
+
+def test_window_peak_mb_is_one_traced_window_at_a_shape():
+    tiny = bench.window_peak_mb(TINY)
+    assert 0 < tiny == pytest.approx(bench.window_peak_mb(TINY), rel=0.1)  # seeded
+    # the window's V x d arrays grow with V
+    assert bench.window_peak_mb({**TINY, "V": 4000, "d": 32}) > tiny + 4000 * 32 * 8 / 2 ** 20
 
 
 def test_layer_shapes_desk_is_the_acceptance_config():
@@ -168,7 +176,9 @@ def test_one_command_writes_tier1_layers_and_change(canned_runs, monkeypatch, tm
     record = json.loads((tmp_path / "BENCH_2.json").read_text())
     assert record["tier1"] == {"wall_s": 1.0, "summary": "canned"}
     assert canned_runs == ["called"]
-    assert set(record["layers"]["shapes"]["tiny"]["layers"]) == set(LAYERS)
+    layers = record["layers"]["shapes"]["tiny"]["layers"]
+    assert set(layers) == {*LAYERS, PEAK}
+    assert layers[PEAK]["values"] == [pytest.approx(bench.window_peak_mb(TINY), rel=0.1)]
     assert record["seeds"] == [1, 2, 3]
     assert record["change_vs"] == "BENCH_1.json"
     assert record["change"]["desk"]["op_s"] == {"before": 2.0, "after": 1.0, "change": -0.5}
@@ -183,7 +193,7 @@ def test_layers_quick_prints_the_section_and_writes_no_file(canned_runs, capsys)
     assert "tier1" not in record and canned_runs == []
     assert record["seeds"] == [1] and record["seconds"] == 5.0
     layers = record["layers"]
-    assert set(layers["shapes"]["tiny"]["layers"]) == set(LAYERS)  # keys sorted
+    assert set(layers["shapes"]["tiny"]["layers"]) == {*LAYERS, PEAK}  # keys sorted
     assert layers["repeats"] == bench.LAYER_REPEATS
     assert "openblas" in layers["machine"] and "openblas_threads" in layers["machine"]
 

@@ -18,8 +18,10 @@ It also holds a "layers" section: each layer of the model called on its own
 on seeded synthetic inputs, at desk's shape and at a softmax-bound V=10k
 shape (layer_shapes()), as the median and IQR of LAYER_REPEATS timed calls
 after LAYER_WARMUP discarded ones, with the machine line (BLAS build and
-thread count) of the process that timed them. Its medians are diffed
-against the previous file as "layers.<shape>".
+thread count) of the process that timed them. Beside the times, at each
+shape, "train_window.peak_mb" is the tracemalloc peak of one training
+window (window_peak_mb()). Its medians are diffed against the previous
+file as "layers.<shape>".
 
 Each run also records the host's load beside it: the busy CPU time
 /proc/stat counts over the run, less the CPU time of the bench's own
@@ -38,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -48,7 +51,7 @@ import checkout  # noqa: E402
 from advlm import analysis, corpus, experiment, train  # noqa: E402
 from advlm import autodiff as ad  # noqa: E402
 from advlm.advsoft import AdvConfig, adv_nll_loss, epsilons  # noqa: E402
-from advlm.model import LMConfig, init_params  # noqa: E402
+from advlm.model import LMConfig, forward, init_params, zero_state  # noqa: E402
 
 RUN = os.path.join(ROOT, "perfbench", "run.py")
 with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
@@ -218,6 +221,30 @@ def layer_calls(shape: dict) -> dict:
     }
 
 
+def window_peak_mb(shape: dict) -> float:
+    """The tracemalloc peak, in MB, of one training window of a one-layer
+    model at shape: forward, adv_nll_loss, backward and sgd_step, traced
+    after one untraced window on the same seeded ids."""
+    V, d, B, L = shape["V"], shape["d"], shape["B"], shape["L"]
+    cfg = LMConfig(vocab_size=V, embed_dim=d)
+    params = init_params(cfg, LAYER_SEED)
+    inputs, targets = np.random.default_rng(LAYER_SEED).integers(0, V, size=(2, L, B))
+
+    def window():
+        with ad.Tape() as tape:
+            contexts, _ = forward(params, inputs, zero_state(cfg, B))
+            tape.backward(adv_nll_loss(params, contexts, targets, ADV).loss)
+        train.sgd_step(params, 1.0, 0.25)
+
+    window()
+    tracemalloc.start()
+    try:
+        window()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def time_layers(shape: dict, repeats: int) -> dict:
     """name -> spread of the seconds per call of each layer at one shape,
     its first LAYER_WARMUP calls discarded."""
@@ -243,16 +270,22 @@ def machine_line() -> dict:
 
 
 def layers_section() -> dict:
-    """The "layers" section: every layer timed at each of layer_shapes().
-    Each median and IQR is also printed to stderr, in ms."""
+    """The "layers" section: every layer timed at each of layer_shapes(),
+    and the window's peak, as "train_window.peak_mb" (a spread of one
+    value). Each median and IQR is also printed to stderr, in ms, and the
+    peak in MB."""
     section = {"machine": machine_line(), "seed": LAYER_SEED, "probes": PROBES,
                "warmup": LAYER_WARMUP, "repeats": LAYER_REPEATS, "shapes": {}}
     for shape_name, shape in layer_shapes().items():
         timed = time_layers(shape, LAYER_REPEATS)
-        section["shapes"][shape_name] = {**shape, "layers": timed}
         for name, s in timed.items():
             print(f"layers {shape_name:<5} {name:<36} {1e3 * s['median']:10.3f} ms"
                   f"  IQR {1e3 * s['iqr']:.3f}", file=sys.stderr)
+        peak = window_peak_mb(shape)
+        print(f"layers {shape_name:<5} {'train_window.peak_mb':<36} {peak:10.3f} MB",
+              file=sys.stderr)
+        timed["train_window.peak_mb"] = spread([peak])
+        section["shapes"][shape_name] = {**shape, "layers": timed}
     return section
 
 
